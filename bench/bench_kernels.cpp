@@ -1,10 +1,9 @@
 // Kernel-variant MLUPS ladder — the measured ablations behind the
-// paper's design choices (§IV-A/C) plus the two optimized variants this
-// repo adds on top of the fused pull kernel:
+// paper's design choices (§IV-A/C) plus the in-place variant this repo
+// adds on top of the fused pull kernel:
 //
-//   * fused     — production scalar SoA pull kernel (baseline, ratio 1.0)
-//   * simd      — explicitly vectorized bulk lanes (#pragma omp simd) with
-//                 scalar fallback runs around boundary cells
+//   * fused     — production SoA pull kernel (baseline, ratio 1.0); its
+//                 all-fluid bulk runs go direction-outer and vectorize
 //   * esoteric  — in-place single-buffer streaming (Esoteric-Pull): half
 //                 the population memory, no second lattice
 //
@@ -17,7 +16,7 @@
 //
 // With --json <path> the rows are serialized as a swlb-bench-v1
 // BenchReport — the writer behind the BENCH_kernels.json seed and the CI
-// smoke that checks simd >= fused MLUPS and the esoteric memory halving.
+// smoke that checks the esoteric speed and memory halving against fused.
 #include <algorithm>
 #include <cstring>
 #include <iostream>
@@ -79,7 +78,6 @@ Row runVariant(KernelVariant v) {
 template <class S>
 void runLadder(std::vector<Row>& rows) {
   rows.push_back(runVariant<S>(KernelVariant::Fused));
-  rows.push_back(runVariant<S>(KernelVariant::Simd));
   rows.push_back(runVariant<S>(KernelVariant::Esoteric));
 }
 
@@ -118,7 +116,7 @@ int main(int argc, char** argv) {
                                1),
               perf::Table::num(r.memRatio, 2)});
   t.print();
-  std::cout << "simd vectorizes the all-fluid bulk runs; esoteric streams "
+  std::cout << "fused vectorizes the all-fluid bulk runs; esoteric streams "
                "in place (single lattice, 0.5x population memory) at the "
                "cost of a rotating layout on odd steps.\n";
 

@@ -192,9 +192,11 @@ int main(int argc, char** argv) {
   std::remove("tgv.ckpt");
 
   // ---- part 3: kill a rank mid-run, roll back, finish bit-identical ----
+  // Checkpoint generations land in the working directory, next to
+  // tgv.ckpt, so runs in separate directories never share a file.
   namespace fs = std::filesystem;
   const std::string ckptPrefix =
-      (fs::temp_directory_path() / "tgv_resilient").string();
+      (fs::current_path() / "tgv_resilient").string();
   const int interval = std::max(5, steps / 8);
   const int killAt = steps / 2 + interval / 2;  // between two generations
 
@@ -248,7 +250,7 @@ int main(int argc, char** argv) {
   std::size_t elasticMismatches = 0;
   if (maxShrinks > 0) {
     const std::string elasticPrefix =
-        (fs::temp_directory_path() / "tgv_elastic").string();
+        (fs::current_path() / "tgv_elastic").string();
     obs::MetricsRegistry metrics;
     runtime::WorldConfig wcfg2;
     wcfg2.faults.killRank = 2;

@@ -8,7 +8,7 @@
 //        swlb_run --demo [--trace out.json] [--tune] [...]
 //
 // --backend NAME selects the stream/collide backend from the registry
-// (DESIGN.md §14: fused, generic, twostep, push, simd, esoteric, threads,
+// (DESIGN.md §14: fused, generic, twostep, push, esoteric, threads,
 // swcpe) on every path — single-rank, --ranks and --patches.  An unknown
 // name or a capability conflict (e.g. an in-place backend under
 // --patches) is an explicit error, never a silent fallback.  The flag

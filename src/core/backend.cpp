@@ -11,7 +11,8 @@ const std::vector<BackendInfo>& backend_catalog() {
   static const std::vector<BackendInfo> catalog = {
       // BACKEND-CATALOG-BEGIN
       {"fused",
-       "optimized SoA fused pull kernel (the bit-identity reference)",
+       "optimized SoA fused pull kernel, vectorized bulk runs (the "
+       "bit-identity reference)",
        BackendCaps{.usesHostThreads = true},
        BackendCostHints{}},
       {"generic",
@@ -26,10 +27,6 @@ const std::vector<BackendInfo>& backend_catalog() {
        "fused collide + push streaming (layout ablation baseline)",
        BackendCaps{.distributed = false, .stepConformant = false},
        BackendCostHints{.relativeRate = 0.9}},
-      {"simd",
-       "vectorized bulk-run fused kernel (#pragma omp simd lanes)",
-       BackendCaps{.usesHostThreads = true},
-       BackendCostHints{}},
       {"esoteric",
        "in-place Esoteric-Pull streaming, single buffer (0.5x memory)",
        BackendCaps{.inPlaceStreaming = true, .supportsOutflow = false,
@@ -58,7 +55,7 @@ const BackendInfo* find_backend_info(const std::string& name) {
 KernelVariant kernel_variant_from_name(const std::string& name) {
   for (KernelVariant v :
        {KernelVariant::Fused, KernelVariant::Generic, KernelVariant::TwoStep,
-        KernelVariant::Push, KernelVariant::Simd, KernelVariant::Esoteric,
+        KernelVariant::Push, KernelVariant::Esoteric,
         KernelVariant::Threads, KernelVariant::SwCpe})
     if (name == kernel_variant_name(v)) return v;
   std::string known;

@@ -3,8 +3,8 @@
 // DistributedSolver and PatchSolver dispatch through a registry instead
 // of per-variant switch statements — the miniLB-style portability layer
 // (PAPERS.md, arXiv:2409.16781).  A backend owns *how* one fused LBM
-// update executes (serial sweep, SIMD runs, a host thread team, the SW
-// CPE emulator, in-place Esoteric-Pull); the solvers own *when*: halo
+// update executes (serial sweep, a host thread team, the SW CPE
+// emulator, in-place Esoteric-Pull); the solvers own *when*: halo
 // wraps, exchanges, parity, observables.
 //
 // Contract summary (details on each hook below):
@@ -48,7 +48,6 @@ enum class KernelVariant {
   Generic,   ///< portable fused pull kernel (reference implementation)
   TwoStep,   ///< separate stream + collide (fusion ablation baseline)
   Push,      ///< fused collide + push streaming (layout ablation baseline)
-  Simd,      ///< vectorized bulk-run fused kernel (bit-identical to Fused)
   Esoteric,  ///< in-place single-buffer streaming (0.5x population memory)
   Threads,   ///< persistent host thread team over z-slabs (OpenMP or pool)
   SwCpe,     ///< SW26010 CPE-cluster emulator (LDM-blocked, bit-identical)
@@ -60,7 +59,6 @@ inline const char* kernel_variant_name(KernelVariant v) {
     case KernelVariant::Generic: return "generic";
     case KernelVariant::TwoStep: return "twostep";
     case KernelVariant::Push: return "push";
-    case KernelVariant::Simd: return "simd";
     case KernelVariant::Esoteric: return "esoteric";
     case KernelVariant::Threads: return "threads";
     case KernelVariant::SwCpe: return "swcpe";

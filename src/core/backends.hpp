@@ -77,16 +77,6 @@ class PushBackend final : public detail::TwoLatticeBackend<D, S> {
   }
 };
 
-template <class D, class S>
-class SimdBackend final : public detail::TwoLatticeBackend<D, S> {
- public:
-  SimdBackend() : detail::TwoLatticeBackend<D, S>("simd") {}
-  void step(const BackendStepArgs<D, S>& a) override {
-    stream_collide_simd_mt<D>(*a.src, *a.dst, *a.mask, *a.mats, *a.cfg,
-                              a.range, a.threads);
-  }
-};
-
 /// In-place Esoteric-Pull backend: implements the even/odd phase pair,
 /// two-lattice step() is rejected (callers branch on
 /// caps.inPlaceStreaming, so reaching it is a solver bug).
@@ -198,7 +188,6 @@ class BackendRegistry {
     add("generic", [] { return std::make_unique<GenericBackend<D, S>>(); });
     add("twostep", [] { return std::make_unique<TwoStepBackend<D, S>>(); });
     add("push", [] { return std::make_unique<PushBackend<D, S>>(); });
-    add("simd", [] { return std::make_unique<SimdBackend<D, S>>(); });
     add("esoteric", [] { return std::make_unique<EsotericBackend<D, S>>(); });
     add("threads",
         [] { return std::make_unique<ThreadTeamBackend<D, S>>(); });

@@ -1,5 +1,11 @@
 // Per-cell collision operators: LBGK (paper Eq. 1), optional Guo body
-// force and Smagorinsky LES eddy viscosity (used by the urban wind case).
+// force and Smagorinsky LES eddy viscosity (used by the urban wind case),
+// plus the TRT/MRT extensions of collision_ops.hpp.
+//
+// Every operator has one templated body.  with_collision_policy() reads a
+// CollisionConfig once and hands the caller a compile-time policy wrapping
+// the matching body, so a sweep can hoist the operator choice out of its
+// cell loop; collide_cell() is the same dispatch for a single cell.
 #pragma once
 
 #include <cmath>
@@ -56,44 +62,54 @@ inline Real smagorinsky_omega(const Real* f, const Real* feq, Real rho,
   return Real(1) / tau_eff;
 }
 
-/// BGK collision of one cell: `f` holds the Q post-streaming (incoming)
-/// populations and is overwritten with post-collision values.
-/// Returns the macroscopic (rho, u) used for the update.
+/// Guo forcing, velocity half: shift u by half the force impulse.
+inline void guo_velocity_shift(Vec3& u, const Vec3& g, Real inv_rho) {
+  u.x += Real(0.5) * g.x * inv_rho;
+  u.y += Real(0.5) * g.y * inv_rho;
+  u.z += Real(0.5) * g.z * inv_rho;
+}
+
+/// Guo forcing, population half: the source term of direction i,
+///   F_i = (1 - omega/2) w_i [3 (c-u) + 9 (c.u) c] . F,  pref = 1 - omega/2.
 template <class D>
-inline void bgk_collide_cell(Real* f, const CollisionConfig& cfg, Real& rho_out,
-                             Vec3& u_out) {
+inline Real guo_source(int i, const Vec3& u, const Vec3& g, Real pref) {
+  const Real cx = D::c[i][0], cy = D::c[i][1], cz = D::c[i][2];
+  const Real cu = cx * u.x + cy * u.y + cz * u.z;
+  const Real sx = Real(3) * (cx - u.x) + Real(9) * cu * cx;
+  const Real sy = Real(3) * (cy - u.y) + Real(9) * cu * cy;
+  const Real sz = Real(3) * (cz - u.z) + Real(9) * cu * cz;
+  return pref * D::w[i] * (sx * g.x + sy * g.y + sz * g.z);
+}
+
+/// BGK collision of one cell, with Guo forcing and Smagorinsky LES chosen
+/// at compile time: `f` holds the Q post-streaming (incoming) populations
+/// and is overwritten with post-collision values.  Returns the macroscopic
+/// (rho, u) used for the update.  The fused kernel's direction-outer bulk
+/// chunk (core/kernels.hpp) performs the same operations in the same
+/// order, so the two stay bit-identical.
+template <class D, bool Force, bool Les>
+inline void bgk_collide(Real* f, const CollisionConfig& cfg, Real& rho_out,
+                        Vec3& u_out) {
   Real rho;
   Vec3 mom;
   moments<D>(f, rho, mom);
   const Real inv_rho = Real(1) / rho;
   Vec3 u{mom.x * inv_rho, mom.y * inv_rho, mom.z * inv_rho};
-  if (cfg.hasForce()) {
-    // Guo forcing: velocity shifted by half the force impulse.
-    u.x += Real(0.5) * cfg.bodyForce.x * inv_rho;
-    u.y += Real(0.5) * cfg.bodyForce.y * inv_rho;
-    u.z += Real(0.5) * cfg.bodyForce.z * inv_rho;
-  }
+  if constexpr (Force) guo_velocity_shift(u, cfg.bodyForce, inv_rho);
 
   Real feq[D::Q];
   equilibria<D>(rho, u, feq);
 
   Real omega = cfg.omega;
-  if (cfg.les) omega = smagorinsky_omega<D>(f, feq, rho, cfg.omega, cfg.smagorinskyCs);
+  if constexpr (Les)
+    omega = smagorinsky_omega<D>(f, feq, rho, cfg.omega, cfg.smagorinskyCs);
 
   for (int i = 0; i < D::Q; ++i) f[i] += omega * (feq[i] - f[i]);
 
-  if (cfg.hasForce()) {
-    // Guo source term: F_i = (1 - omega/2) w_i [3 (c-u) + 9 (c.u) c] . F
+  if constexpr (Force) {
     const Real pref = Real(1) - Real(0.5) * omega;
-    const Vec3& g = cfg.bodyForce;
-    for (int i = 0; i < D::Q; ++i) {
-      const Real cx = D::c[i][0], cy = D::c[i][1], cz = D::c[i][2];
-      const Real cu = cx * u.x + cy * u.y + cz * u.z;
-      const Real sx = Real(3) * (cx - u.x) + Real(9) * cu * cx;
-      const Real sy = Real(3) * (cy - u.y) + Real(9) * cu * cy;
-      const Real sz = Real(3) * (cz - u.z) + Real(9) * cu * cz;
-      f[i] += pref * D::w[i] * (sx * g.x + sy * g.y + sz * g.z);
-    }
+    for (int i = 0; i < D::Q; ++i)
+      f[i] += guo_source<D>(i, u, cfg.bodyForce, pref);
   }
 
   rho_out = rho;
@@ -106,30 +122,79 @@ inline void bgk_collide_cell(Real* f, const CollisionConfig& cfg, Real& rho_out,
 
 namespace swlb {
 
-/// Operator dispatch used by every kernel variant.  Guo forcing and LES
-/// are supported on the BGK path only (the configurations the paper runs);
-/// MRT is defined for D3Q19.
+/// Compile-time collision policies: `op(f, rho, u)` collides one cell.
+/// `kChunked` marks the operators whose bulk runs the fused kernel
+/// processes direction-outer (core/kernels.hpp); `kForce` tells that chunk
+/// whether to apply Guo forcing.  LES stays per cell: its sqrt sets errno,
+/// which keeps the loop from vectorizing.
+template <class D, bool Force, bool Les>
+struct BgkPolicy {
+  static constexpr bool kChunked = !Les;
+  static constexpr bool kForce = Force;
+  const CollisionConfig& cfg;
+  void operator()(Real* f, Real& rho, Vec3& u) const {
+    bgk_collide<D, Force, Les>(f, cfg, rho, u);
+  }
+};
+
 template <class D>
-inline void collide_cell(Real* f, const CollisionConfig& cfg, Real& rho_out,
-                         Vec3& u_out) {
+struct TrtPolicy {
+  static constexpr bool kChunked = false;
+  const CollisionConfig& cfg;
+  void operator()(Real* f, Real& rho, Vec3& u) const {
+    trt_collide_cell<D>(f, cfg.omega, cfg.magicLambda, rho, u);
+  }
+};
+
+/// MRT is defined for D3Q19; other lattices throw when a cell collides.
+template <class D>
+struct MrtPolicy {
+  static constexpr bool kChunked = false;
+  const CollisionConfig& cfg;
+  void operator()(Real* f, Real& rho, Vec3& u) const {
+    if constexpr (std::is_same_v<D, D3Q19>)
+      MrtD3Q19::collide(f, MrtD3Q19::Rates::standard(cfg.omega), rho, u);
+    else
+      throw Error("MRT collision is implemented for D3Q19 only");
+  }
+};
+
+/// Resolve `cfg` to its policy once and call fn(policy).  Guo forcing and
+/// LES are supported on the BGK path only (the configurations the paper
+/// runs).
+template <class D, class Fn>
+inline void with_collision_policy(const CollisionConfig& cfg, Fn&& fn) {
   switch (cfg.op) {
     case CollisionOp::BGK:
-      bgk_collide_cell<D>(f, cfg, rho_out, u_out);
+      if (cfg.les) {
+        if (cfg.hasForce())
+          fn(BgkPolicy<D, true, true>{cfg});
+        else
+          fn(BgkPolicy<D, false, true>{cfg});
+      } else if (cfg.hasForce()) {
+        fn(BgkPolicy<D, true, false>{cfg});
+      } else {
+        fn(BgkPolicy<D, false, false>{cfg});
+      }
       return;
     case CollisionOp::TRT:
       SWLB_ASSERT(!cfg.les && !cfg.hasForce());
-      trt_collide_cell<D>(f, cfg.omega, cfg.magicLambda, rho_out, u_out);
+      fn(TrtPolicy<D>{cfg});
       return;
     case CollisionOp::MRT:
       SWLB_ASSERT(!cfg.les && !cfg.hasForce());
-      if constexpr (std::is_same_v<D, D3Q19>) {
-        MrtD3Q19::collide(f, MrtD3Q19::Rates::standard(cfg.omega), rho_out,
-                          u_out);
-      } else {
-        throw Error("MRT collision is implemented for D3Q19 only");
-      }
+      fn(MrtPolicy<D>{cfg});
       return;
   }
+}
+
+/// Collide one cell with the operator `cfg` selects: the per-cell entry
+/// point of every kernel that does not hoist the choice itself.
+template <class D>
+inline void collide_cell(Real* f, const CollisionConfig& cfg, Real& rho_out,
+                         Vec3& u_out) {
+  with_collision_policy<D>(cfg,
+                           [&](const auto& op) { op(f, rho_out, u_out); });
 }
 
 }  // namespace swlb

@@ -6,23 +6,26 @@
 
 namespace swlb {
 
-/// Equilibrium distribution in direction i:
+/// Equilibrium in direction i given the shared term u2term = 1.5 u^2:
 ///   f_i^eq = w_i rho (1 + 3 (c_i.u) + 4.5 (c_i.u)^2 - 1.5 u^2)
 template <class D>
-constexpr Real equilibrium(int i, Real rho, const Vec3& u) {
+constexpr Real equilibrium_term(int i, Real rho, const Vec3& u, Real u2term) {
   const Real cu = D::c[i][0] * u.x + D::c[i][1] * u.y + D::c[i][2] * u.z;
-  const Real u2 = u.norm2();
-  return D::w[i] * rho * (Real(1) + Real(3) * cu + Real(4.5) * cu * cu - Real(1.5) * u2);
+  return D::w[i] * rho * (Real(1) + Real(3) * cu + Real(4.5) * cu * cu - u2term);
+}
+
+/// Equilibrium distribution in direction i.
+template <class D>
+constexpr Real equilibrium(int i, Real rho, const Vec3& u) {
+  return equilibrium_term<D>(i, rho, u, Real(1.5) * u.norm2());
 }
 
 /// All Q equilibria at once (shared u^2 term).
 template <class D>
 constexpr void equilibria(Real rho, const Vec3& u, Real* out) {
   const Real u2term = Real(1.5) * u.norm2();
-  for (int i = 0; i < D::Q; ++i) {
-    const Real cu = D::c[i][0] * u.x + D::c[i][1] * u.y + D::c[i][2] * u.z;
-    out[i] = D::w[i] * rho * (Real(1) + Real(3) * cu + Real(4.5) * cu * cu - u2term);
-  }
+  for (int i = 0; i < D::Q; ++i)
+    out[i] = equilibrium_term<D>(i, rho, u, u2term);
 }
 
 /// Density and momentum moments of a population vector.

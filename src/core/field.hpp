@@ -138,21 +138,29 @@ class PopulationFieldT {
   }
   Real at(int q, std::size_t cell) const { return load(q, cell); }
 
+  /// Decode one raw storage element of a direction with storage shift
+  /// `shift` (identity storage: the element itself, untouched).
+  static Real decode(S s, [[maybe_unused]] Real shift) {
+    if constexpr (kIdentityStorage)
+      return s;
+    else
+      return StorageTraits<S>::decode(s, shift);
+  }
+  /// Inverse of decode.
+  static S encode(Real v, [[maybe_unused]] Real shift) {
+    if constexpr (kIdentityStorage)
+      return v;
+    else
+      return StorageTraits<S>::encode(v, shift);
+  }
+
   /// Decoded value of one stored population (cell = grid linear index).
   Real load(int q, std::size_t cell) const {
-    if constexpr (kIdentityStorage)
-      return data_[slab(q) + cell];
-    else
-      return StorageTraits<S>::decode(data_[slab(q) + cell],
-                                      shift_[static_cast<std::size_t>(q)]);
+    return decode(data_[slab(q) + cell], shift_[static_cast<std::size_t>(q)]);
   }
   /// Encode and store one population value.
   void store(int q, std::size_t cell, Real v) {
-    if constexpr (kIdentityStorage)
-      data_[slab(q) + cell] = v;
-    else
-      data_[slab(q) + cell] =
-          StorageTraits<S>::encode(v, shift_[static_cast<std::size_t>(q)]);
+    data_[slab(q) + cell] = encode(v, shift_[static_cast<std::size_t>(q)]);
   }
 
   /// Raw (still-encoded) storage element — exact copies between fields of

@@ -32,7 +32,7 @@
 // Included at the bottom of core/kernels.hpp; do not include directly.
 #pragma once
 
-#include "core/kernels_simd.hpp"
+#include "core/kernels.hpp"
 
 namespace swlb {
 

@@ -23,11 +23,7 @@ inline void cell_macroscopic(const F& f, int x, int y, int z,
   moments<D>(fi, rho, mom);
   const Real inv = Real(1) / rho;
   u = {mom.x * inv, mom.y * inv, mom.z * inv};
-  if (cfg.hasForce()) {
-    u.x += Real(0.5) * cfg.bodyForce.x * inv;
-    u.y += Real(0.5) * cfg.bodyForce.y * inv;
-    u.z += Real(0.5) * cfg.bodyForce.z * inv;
-  }
+  if (cfg.hasForce()) guo_velocity_shift(u, cfg.bodyForce, inv);
 }
 
 /// Fill density and velocity fields over the interior.  Non-fluid cells get

@@ -245,6 +245,13 @@ double numberField(const JsonValue& obj, const char* name) {
   return v.number;
 }
 
+/// Backend spelling a cached plan may carry, mapped to the registered
+/// backend that now runs the same code: "simd" was folded into "fused",
+/// whose bulk runs vectorize themselves.
+std::string currentBackendName(const std::string& name) {
+  return name == "simd" ? "fused" : name;
+}
+
 TuningPlan planFromJson(const JsonValue& obj) {
   TuningPlan p;
   const std::string mode = stringField(obj, "halo_mode");
@@ -261,16 +268,18 @@ TuningPlan planFromJson(const JsonValue& obj) {
   // Tolerant read: "backend" is the current spelling; plans written when
   // the knob was called the kernel variant carry "kernel_variant" with
   // the same value set; older plans have neither and mean "fused".
+  // Either key, and every patch_backends value, may name a backend that
+  // has since been folded into another (currentBackendName).
   const auto be = obj.object.find("backend");
   const auto kv = obj.object.find("kernel_variant");
   if (be != obj.object.end()) {
     if (be->second.type != JsonValue::Type::String)
       throw Error("tuning cache: \"backend\" is not a string");
-    p.backend = be->second.str;
+    p.backend = currentBackendName(be->second.str);
   } else if (kv != obj.object.end()) {
     if (kv->second.type != JsonValue::Type::String)
       throw Error("tuning cache: \"kernel_variant\" is not a string");
-    p.backend = kv->second.str;
+    p.backend = currentBackendName(kv->second.str);
   }
   // Tolerant read: the per-patch backend map postdates every older
   // schema revision and defaults to empty (every patch runs `backend`).
@@ -283,7 +292,7 @@ TuningPlan planFromJson(const JsonValue& obj) {
         throw Error("tuning cache: patch_backends[\"" + k +
                     "\"] is not a string");
       try {
-        p.patchBackends[std::stoi(k)] = v.str;
+        p.patchBackends[std::stoi(k)] = currentBackendName(v.str);
       } catch (const std::exception&) {
         throw Error("tuning cache: patch_backends key \"" + k +
                     "\" is not a patch id");

@@ -51,11 +51,12 @@ struct TuningPlan {
   /// <= sw::max_chunk_x for the target block).
   int chunkX = 32;
   /// Stream/collide backend for Solver/DistributedSolver (registry name,
-  /// core/backend.hpp: "fused" | "simd" | "esoteric" | "threads" | ...).
+  /// core/backend.hpp: "fused" | "esoteric" | "threads" | ...).
   /// "fused" unless wall-clock backend trials (TunerConfig::
   /// backendTrialSteps > 0) found a faster one.  Serialized as "backend";
   /// cache files from before the backend layer carry the same value
-  /// under "kernel_variant" and parse into this field.
+  /// under "kernel_variant" and parse into this field; the retired name
+  /// "simd" reads as "fused".
   std::string backend = "fused";
   /// Per-patch backend overrides for PatchSolver::Config::patchBackends
   /// (patch id -> registry name): the heterogeneous mixed-backend plan

@@ -378,7 +378,7 @@ TuningPlan Tuner::plan(const TuningInput& in) const {
   }
 
   // ---- host backend: wall-clock trial ladder ---------------------------
-  // The registered host ladder (fused, simd, esoteric, threads) on a
+  // The registered host ladder (fused, esoteric, threads) on a
   // single-rank proxy block.  The pick is MLUPS-argmax with ties (within
   // 1%) kept on "fused"; without trials the default "fused" stands,
   // keeping plan() deterministic.
@@ -386,7 +386,7 @@ TuningPlan Tuner::plan(const TuningInput& in) const {
   if (cfg_.backendTrialSteps > 0) {
     Int3 proxy = proxyExtent(in.extent, 1, cfg_.trialCellsPerRank);
     if (in.lattice == "D2Q9") proxy.z = 1;
-    const char* ladder[] = {"fused", "simd", "esoteric", "threads"};
+    const char* ladder[] = {"fused", "esoteric", "threads"};
     double fusedMlups = 0, pickMlups = 0;
     for (const char* name : ladder) {
       const double mlups =
@@ -413,7 +413,7 @@ TuningPlan Tuner::plan(const TuningInput& in) const {
   // backends are rejected there); small patches land on serial backends
   // because the thread team's fork/join overhead dominates them.
   if (!in.patchCells.empty() && !backendMlups.empty()) {
-    const char* candidates[] = {"fused", "simd", "threads"};
+    const char* candidates[] = {"fused", "threads"};
     for (std::size_t pid = 0; pid < in.patchCells.size(); ++pid) {
       std::string bestName = "fused";
       double bestS = 0;

@@ -69,7 +69,7 @@ struct TunerConfig {
   /// shrunk proxy domain instead of the full one.
   std::size_t trialCellsPerRank = 32768;
   /// Steps per wall-clock backend trial (the registry ladder — fused,
-  /// simd, esoteric, threads — on a single-rank proxy).  0 (default)
+  /// esoteric, threads — on a single-rank proxy).  0 (default)
   /// skips the ladder and keeps the plan's "fused" default — and the
   /// search byte-deterministic.
   int backendTrialSteps = 0;

@@ -1,6 +1,7 @@
 // Kernel-conformance harness (DESIGN.md §11): the contract every
 // stream/collide variant — and every future backend — must satisfy
-// against the production fused pull kernel.
+// against the production fused pull kernel, under every collision
+// operator (collisionOperators()).
 //
 //   * f64 identity storage: bit-identical populations after every step.
 //   * Same reduced storage (f32/f16): still bit-identical (the variants
@@ -19,6 +20,7 @@
 #include <cmath>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "core/precision.hpp"
 #include "core/solver.hpp"
@@ -34,7 +36,41 @@ struct Scenario {
   Periodicity periodic{true, true, true};
   std::function<void(MaskField&, MaterialTable&, const Grid&)> paint;
   bool hasOutflow = false;  ///< Esoteric rejects Outflow; skip it there
+  CollisionConfig collision{.omega = 1.7};  ///< plain BGK unless overridden
 };
+
+/// One point of the collision-operator axis.
+struct Operator {
+  std::string name;
+  CollisionConfig cfg;
+};
+
+/// Every collision policy of core/collision.hpp: BGK with and without
+/// Guo forcing and Smagorinsky LES, TRT, and MRT (D3Q19 only).
+inline std::vector<Operator> collisionOperators() {
+  const CollisionConfig bgk{.omega = 1.7};
+  CollisionConfig guo = bgk;
+  guo.bodyForce = {2e-5, -1e-5, 5e-6};
+  CollisionConfig les = bgk;
+  les.les = true;
+  les.smagorinskyCs = 0.17;
+  CollisionConfig guoLes = guo;
+  guoLes.les = true;
+  guoLes.smagorinskyCs = 0.17;
+  CollisionConfig trt = bgk;
+  trt.op = CollisionOp::TRT;
+  CollisionConfig mrt = bgk;
+  mrt.op = CollisionOp::MRT;
+  return {{"bgk", bgk},           {"bgk_guo", guo}, {"bgk_les", les},
+          {"bgk_guo_les", guoLes}, {"trt", trt},     {"mrt", mrt}};
+}
+
+/// `sc` under collision operator `op`.
+inline Scenario withOperator(Scenario sc, const Operator& op) {
+  sc.name += "/" + op.name;
+  sc.collision = op.cfg;
+  return sc;
+}
 
 /// Deterministic smooth non-equilibrium-free init (same field for every
 /// solver under test; no RNG so failures reproduce exactly).
@@ -50,10 +86,8 @@ void initSmooth(Solver<D, S>& s) {
 
 template <class D, class S>
 Solver<D, S> makeSolver(const Scenario& sc) {
-  CollisionConfig cc;
-  cc.omega = 1.7;
   const Grid g(sc.extent.x, sc.extent.y, sc.extent.z);
-  Solver<D, S> solver(g, cc, sc.periodic);
+  Solver<D, S> solver(g, sc.collision, sc.periodic);
   if (sc.paint) sc.paint(solver.mask(), solver.materials(), g);
   return solver;
 }

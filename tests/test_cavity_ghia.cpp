@@ -111,20 +111,15 @@ TEST(GhiaCavity, Re100CentrelineProfilesMatchReference) {
 // quantization perturbs the converged field by O(1e-5) in lid units, well
 // inside the discretization error, but the steady-state probe needs a
 // coarser criterion (1e-6 vs 1e-8 of uLid) to terminate at the f32 noise
-// floor.
+// floor.  The fused kernel splits every row into vectorized bulk runs and
+// boundary cells, so a deviation here also means that segmentation broke.
 TEST(GhiaCavity, Re100F32StorageMatchesReferenceWithinLooserTolerance) {
   runGhiaComparison<float>(0.04, 1e-6);
 }
 
-// End-to-end physics with the new kernel variants, at f32 storage so the
-// run doubles as a reduced-precision soak.  The SIMD kernel is bit-
-// identical to fused, so any deviation here means the bulk/boundary run
-// segmentation broke; the esoteric kernel additionally proves the
-// in-place odd-phase macroscopic accessors on a real benchmark.
-TEST(GhiaCavity, Re100SimdKernelMatchesReference) {
-  runGhiaComparison<float>(0.04, 1e-6, KernelVariant::Simd);
-}
-
+// The in-place kernel at f32 storage, so the run doubles as a
+// reduced-precision soak; it also proves the odd-phase macroscopic
+// accessors on a real benchmark.
 TEST(GhiaCavity, Re100EsotericKernelMatchesReference) {
   runGhiaComparison<float>(0.04, 1e-6, KernelVariant::Esoteric);
 }

@@ -35,7 +35,7 @@ TYPED_TEST(CollisionTest, ConservesMassAndMomentum) {
     cfg.omega = omega;
     Real rho;
     Vec3 u;
-    bgk_collide_cell<D>(f, cfg, rho, u);
+    collide_cell<D>(f, cfg, rho, u);
 
     Real rho1;
     Vec3 m1;
@@ -60,7 +60,7 @@ TYPED_TEST(CollisionTest, OmegaOneProjectsOntoEquilibrium) {
   cfg.omega = 1.0;
   Real rho;
   Vec3 u;
-  bgk_collide_cell<D>(f, cfg, rho, u);
+  collide_cell<D>(f, cfg, rho, u);
 
   Real feq[D::Q];
   equilibria<D>(rho0, u0, feq);
@@ -79,7 +79,7 @@ TYPED_TEST(CollisionTest, EquilibriumIsFixedPoint) {
   cfg.omega = 1.7;
   Real rho;
   Vec3 u;
-  bgk_collide_cell<D>(f, cfg, rho, u);
+  collide_cell<D>(f, cfg, rho, u);
   for (int i = 0; i < D::Q; ++i) EXPECT_NEAR(f[i], before[i], 1e-13);
 }
 
@@ -94,7 +94,7 @@ TYPED_TEST(CollisionTest, GuoForceAddsMomentum) {
   cfg.bodyForce = D::dim == 2 ? Vec3{1e-4, -2e-5, 0} : Vec3{1e-4, -2e-5, 3e-5};
   Real rho;
   Vec3 u;
-  bgk_collide_cell<D>(f, cfg, rho, u);
+  collide_cell<D>(f, cfg, rho, u);
   Real rho1;
   Vec3 m1;
   moments<D>(f, rho1, m1);
@@ -113,7 +113,7 @@ TYPED_TEST(CollisionTest, ReportedVelocityIncludesHalfForce) {
   cfg.bodyForce = {2e-4, 0, 0};
   Real rho;
   Vec3 u;
-  bgk_collide_cell<D>(f, cfg, rho, u);
+  collide_cell<D>(f, cfg, rho, u);
   EXPECT_NEAR(u.x, 1e-4, 1e-15);
 }
 
@@ -158,7 +158,7 @@ TYPED_TEST(CollisionTest, LesCollisionStillConservesInvariants) {
   cfg.smagorinskyCs = 0.14;
   Real rho;
   Vec3 u;
-  bgk_collide_cell<D>(f, cfg, rho, u);
+  collide_cell<D>(f, cfg, rho, u);
   Real rho1;
   Vec3 m1;
   moments<D>(f, rho1, m1);

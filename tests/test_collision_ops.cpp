@@ -63,7 +63,7 @@ TYPED_TEST(TrtTest, EqualRatesReduceToBgk) {
   trt_collide_cell<D>(fTrt, omega, lambda, rho, u);
   CollisionConfig cfg;
   cfg.omega = omega;
-  bgk_collide_cell<D>(fBgk, cfg, rho, u);
+  collide_cell<D>(fBgk, cfg, rho, u);
   for (int i = 0; i < D::Q; ++i) EXPECT_NEAR(fTrt[i], fBgk[i], 1e-14);
 }
 
@@ -200,7 +200,7 @@ TEST(Mrt, AllRatesEqualReducesToBgk) {
   MrtD3Q19::collide(fMrt, MrtD3Q19::Rates::allEqual(omega), rho, u);
   CollisionConfig cfg;
   cfg.omega = omega;
-  bgk_collide_cell<D3Q19>(fBgk, cfg, rho, u);
+  collide_cell<D3Q19>(fBgk, cfg, rho, u);
   for (int i = 0; i < 19; ++i) EXPECT_NEAR(fMrt[i], fBgk[i], 1e-13);
 }
 

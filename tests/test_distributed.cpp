@@ -150,11 +150,11 @@ TEST(DistributedPeriodic, FullyPeriodicMatchesReference) {
   });
 }
 
-// The SIMD and esoteric kernels must stay bit-identical to the fused
-// single-rank reference when the domain is split across 4 ranks: SIMD in
-// both halo schedules (its bulk/boundary segmentation interacts with the
-// inner/shell split), esoteric through the forward+reverse halo exchange
-// pair.  An even step count returns the esoteric field to natural layout
+// The thread-team and esoteric kernels must stay bit-identical to the
+// fused single-rank reference when the domain is split across 4 ranks:
+// the team in both halo schedules (the fused kernel's bulk/boundary row
+// segmentation interacts with the inner/shell split), esoteric through
+// the forward+reverse halo exchange pair.  An even step count returns the esoteric field to natural layout
 // before the gather.
 TEST(DistributedKernelVariants, FourRankBitIdentityToFusedReference) {
   const Int3 global{12, 12, 4};
@@ -180,8 +180,8 @@ TEST(DistributedKernelVariants, FourRankBitIdentityToFusedReference) {
     KernelVariant variant;
     HaloMode mode;
   };
-  const Case cases[] = {{KernelVariant::Simd, HaloMode::Sequential},
-                        {KernelVariant::Simd, HaloMode::Overlap},
+  const Case cases[] = {{KernelVariant::Threads, HaloMode::Sequential},
+                        {KernelVariant::Threads, HaloMode::Overlap},
                         {KernelVariant::Esoteric, HaloMode::Sequential}};
   for (const Case& tc : cases) {
     SCOPED_TRACE(std::string(kernel_variant_name(tc.variant)) + "/" +

@@ -359,7 +359,7 @@ TEST(PatchSolver, FluidWeightedAssignmentSkipsSolidHeavyImbalance) {
 // ---- per-patch backend plans -------------------------------------------
 
 TEST(PatchSolver, HeterogeneousPatchBackendsMatchMonolithic) {
-  // The tuner's mixed plan: default simd with per-patch overrides to
+  // The tuner's mixed plan: default generic with per-patch overrides to
   // fused, threads, and swcpe.  All four are bit-identical kernels, so a
   // heterogeneous run must still match the monolithic fused reference
   // exactly — including across patch faces where the sender's backend
@@ -369,7 +369,7 @@ TEST(PatchSolver, HeterogeneousPatchBackendsMatchMonolithic) {
   std::map<int, std::string> plan{{0, "fused"}, {2, "threads"}, {3, "swcpe"}};
   for (const Scenario& sc : patchScenarios())
     expectPatchRunMatchesMonolithic(sc, 2, {2, 2, 1}, 6, /*migrateAt=*/3, 0,
-                                    "simd", plan);
+                                    "generic", plan);
 }
 
 TEST(PatchSolver, PatchBackendNameResolvesOverrides) {
@@ -378,11 +378,11 @@ TEST(PatchSolver, PatchBackendNameResolvesOverrides) {
     typename PatchSolver<D3Q19>::Config cfg;
     cfg.global = {8, 8, 2};
     cfg.patchGrid = {2, 2, 1};
-    cfg.backend = "simd";
+    cfg.backend = "generic";
     cfg.patchBackends = {{1, "threads"}};
     PatchSolver<D3Q19> solver(c, cfg);
     solver.finalizeMask();
-    EXPECT_EQ(solver.patchBackendName(0), "simd");
+    EXPECT_EQ(solver.patchBackendName(0), "generic");
     EXPECT_EQ(solver.patchBackendName(1), "threads");
   });
 }
@@ -408,7 +408,7 @@ TEST(PatchSolver, RejectsBackendPlanNamingMissingPatch) {
     typename PatchSolver<D3Q19>::Config cfg;
     cfg.global = {8, 8, 2};
     cfg.patchGrid = {2, 2, 1};
-    cfg.patchBackends = {{7, "simd"}};  // layout has patches 0..3
+    cfg.patchBackends = {{7, "generic"}};  // layout has patches 0..3
     PatchSolver<D3Q19> solver(c, cfg);
     solver.finalizeMask();
   }),

@@ -53,7 +53,6 @@ INSTANTIATE_TEST_SUITE_P(
                                          KernelVariant::Generic,
                                          KernelVariant::TwoStep,
                                          KernelVariant::Push,
-                                         KernelVariant::Simd,
                                          KernelVariant::Esoteric)),
     [](const ::testing::TestParamInfo<SweepParam>& info) {
       const double omega = std::get<0>(info.param);

@@ -284,10 +284,14 @@ TEST(Serve, EvictResumeIsBitIdentical) {
   cfg.quantumSteps = 4;  // 6 quanta per job -> plenty of evictions
   cfg.maxResident = 1;   // two active jobs MUST thrash through eviction
   cfg.checkpointDir = dir.path;
+  // Both jobs are admitted before any quantum runs; otherwise a fast
+  // kernel can finish "a" before "b" arrives and nothing is evicted.
+  cfg.startPaused = true;
   Server server(cfg);
   Session& s = server.openSession();
   s.request(encode_line(submitCavity("a", kSteps, kN)));
   s.request(encode_line(submitCavity("b", kSteps, kN)));
+  server.resume();
   const Drained d = drainUntilFinished(s, 2);
 
   const auto dones = d.ofKind("done");

@@ -124,11 +124,11 @@ TEST(Tuner, AppliesBackendToSolverKnobs) {
 
 TEST(Tuner, AppliesPatchBackendMap) {
   TuningPlan p = Tuner().plan(cavityInput());
-  p.patchBackends = {{0, "simd"}, {3, "threads"}, {5, "warp-speculative"}};
+  p.patchBackends = {{0, "generic"}, {3, "threads"}, {5, "warp-speculative"}};
   std::map<int, std::string> m = {{9, "stale"}};
   swlb::tune::apply(p, m);
   // Catalogued entries replace the map wholesale; unknown names drop.
-  const std::map<int, std::string> want = {{0, "simd"}, {3, "threads"}};
+  const std::map<int, std::string> want = {{0, "generic"}, {3, "threads"}};
   EXPECT_EQ(m, want);
 }
 
@@ -143,7 +143,6 @@ TEST(Tuner, BackendTrialsPickFromMeasuredLadder) {
   EXPECT_NE(find_backend_info(p.backend), nullptr) << p.backend;
   // The trial ladder leaves auditable MLUPS evidence for every rung.
   EXPECT_NE(p.evidence.count("trial.backend.fused_mlups"), 0u);
-  EXPECT_NE(p.evidence.count("trial.backend.simd_mlups"), 0u);
   EXPECT_NE(p.evidence.count("trial.backend.esoteric_mlups"), 0u);
   EXPECT_NE(p.evidence.count("trial.backend.threads_mlups"), 0u);
 }
@@ -192,7 +191,7 @@ TEST(TuningCache, BackendSurvivesRoundTrip) {
   const TuningInput in = cavityInput();
   TuningPlan p = Tuner().plan(in);
   p.backend = "esoteric";
-  p.patchBackends = {{1, "simd"}, {4, "threads"}};
+  p.patchBackends = {{1, "generic"}, {4, "threads"}};
   TuningCache cache;
   cache.store(in.key(), p);
   const std::string path = tmpPath("swlb_tune_variant.json");
@@ -212,11 +211,11 @@ TEST(TuningCache, LegacyKernelVariantFieldReadsAsBackend) {
   // tolerant reader maps it onto TuningPlan::backend.
   const TuningInput in = cavityInput();
   TuningPlan p = Tuner().plan(in);
-  p.backend = "simd";
+  p.backend = "generic";
   TuningCache cache;
   cache.store(in.key(), p);
   std::string json = cache.toString();
-  const std::string be = "\"backend\": \"simd\", ";
+  const std::string be = "\"backend\": \"generic\", ";
   auto pos = json.find(be);
   ASSERT_NE(pos, std::string::npos);
   json.erase(pos, be.size());
@@ -233,10 +232,47 @@ TEST(TuningCache, LegacyKernelVariantFieldReadsAsBackend) {
   const TuningCache loaded = TuningCache::load(path);
   const auto hit = loaded.lookup(in.key());
   ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->backend, "simd");
+  EXPECT_EQ(hit->backend, "generic");
   EXPECT_TRUE(hit->patchBackends.empty());
   EXPECT_EQ(*hit, p);
   fs::remove(path);
+}
+
+TEST(TuningCache, RetiredSimdBackendReadsAsFused) {
+  // The simd backend was folded into fused, which now vectorizes the same
+  // bulk runs.  A cached plan naming it must still apply: "simd" reads as
+  // "fused" under "backend", the legacy "kernel_variant" key, and every
+  // patch_backends entry.
+  const TuningInput in = cavityInput();
+  TuningPlan p = Tuner().plan(in);
+  p.backend = "simd";
+  p.patchBackends = {{2, "simd"}, {3, "threads"}};
+  TuningCache cache;
+  cache.store(in.key(), p);
+  const std::string json = cache.toString();
+  const std::string be = "\"backend\": \"simd\", ";
+  const auto pos = json.find(be);
+  ASSERT_NE(pos, std::string::npos);
+  std::string legacy = json;
+  legacy.erase(pos, be.size());  // leaves only "kernel_variant": "simd"
+
+  const std::map<int, std::string> wantPatches = {{2, "fused"},
+                                                  {3, "threads"}};
+  for (const std::string& text : {json, legacy}) {
+    const std::string path = tmpPath("swlb_tune_simd_alias.json");
+    {
+      std::ofstream out(path);
+      out << text;
+    }
+    const auto hit = TuningCache::load(path).lookup(in.key());
+    fs::remove(path);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(hit->backend, "fused");
+    EXPECT_EQ(hit->patchBackends, wantPatches);
+    std::string name = "generic";
+    swlb::tune::apply(*hit, name);
+    EXPECT_EQ(name, "fused");
+  }
 }
 
 TEST(TuningCache, PatchesPerRankSurvivesRoundTrip) {
