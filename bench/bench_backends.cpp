@@ -5,16 +5,18 @@
 // Rows report best-of-3 MLUPS, the *actually allocated* population bytes
 // (so in-place backends' memory claims are measured, not asserted), the
 // memory ratio against the two-lattice fused baseline, and the thread
-// count the backend ran with (caps.usesHostThreads backends get one lane
-// per hardware core; the rest run the single host thread they promise).
+// count the backend ran with.  Every backend is asked for one lane per
+// hardware core; the executor slices caps.subRange backends into that
+// many z-slabs on one persistent team, and push and swcpe run their one
+// whole-block call on one lane.
 // The swcpe emulator models a 64-CPE core group in scalar host code, so
 // its MLUPS row is an emulator throughput, not a Sunway projection —
 // perf/ladder.cpp owns those.
 //
 // With --json <path> the rows are serialized as a swlb-bench-v1
 // BenchReport (backend_<name> results) — the writer behind the
-// BENCH_backends.json seed and the CI smoke that checks the thread-team
-// backend beats single-thread fused whenever the host has >1 core
+// BENCH_backends.json seed and the CI smoke that checks multi-lane fused
+// is no slower than single-thread fused whenever the host has >1 core
 // (host_cores is in every row so the gate is recorded with the data).
 #include <algorithm>
 #include <cstring>
@@ -45,7 +47,7 @@ struct Row {
   int threads = 1;                  ///< host threads the backend ran with
 };
 
-Row runBackend(const std::string& name, int hostCores) {
+Row runBackend(const std::string& name, int lanes) {
   const BackendInfo& info = *find_backend_info(name);
   CollisionConfig cfg;
   cfg.omega = 1.6;
@@ -54,8 +56,8 @@ Row runBackend(const std::string& name, int hostCores) {
   solver.setBackend(name);
   Row row;
   row.backend = name;
-  row.threads = info.caps.usesHostThreads ? hostCores : 1;
-  solver.setHostThreads(row.threads);
+  row.threads = info.caps.subRange ? lanes : 1;
+  solver.setHostThreads(lanes);
   solver.finalizeMask();
   solver.initField([](int x, int y, int z, Real& rho, Vec3& u) {
     rho = 1.0 + 0.01 * ((x + 2 * y + 3 * z) % 7 - 3) / 3.0;
@@ -101,7 +103,7 @@ int main(int argc, char** argv) {
   std::vector<Row> rows;
   // Single-thread fused first: the reference row every ratio reads
   // against (the registry also lists "fused", measured again below at
-  // hostCores threads like every other usesHostThreads backend).
+  // hostCores lanes like every other sub-range backend).
   Row fused1 = runBackend("fused", 1);
   fused1.backend = "fused@1";
   rows.push_back(fused1);
@@ -121,7 +123,7 @@ int main(int argc, char** argv) {
                                1),
               perf::Table::num(r.memRatio, 2)});
   t.print();
-  std::cout << "threads-vs-fused@1 is the thread-team speedup (expect >1 "
+  std::cout << "fused-vs-fused@1 is the host-thread speedup (expect >1 "
                "only on multi-core hosts); swcpe is the CPE emulator, not "
                "a Sunway projection.\n";
 

@@ -12,9 +12,9 @@
 
 #include "app/cases.hpp"
 #include "core/observables.hpp"
-#include "core/profiler.hpp"
 #include "obs/bench_report.hpp"
 #include "obs/context.hpp"
+#include "obs/step_profiler.hpp"
 #include "perf/report.hpp"
 #include "perf/scaling.hpp"
 

@@ -46,11 +46,11 @@ struct Row {
 };
 
 template <class S>
-Row runVariant(KernelVariant v) {
+Row runVariant(const char* backend) {
   CollisionConfig cfg;
   cfg.omega = 1.6;
   Solver<D3Q19, S> solver(Grid(kN, kN, kN), cfg, Periodicity{true, true, true});
-  solver.setVariant(v);
+  solver.setBackend(backend);
   solver.finalizeMask();
   solver.initField([](int x, int y, int z, Real& rho, Vec3& u) {
     rho = 1.0 + 0.01 * ((x + 2 * y + 3 * z) % 7 - 3) / 3.0;
@@ -60,7 +60,7 @@ Row runVariant(KernelVariant v) {
   const double cells = static_cast<double>(solver.grid().interiorVolume());
   solver.run(kStepsPerRep);  // warmup (touch pages, warm caches)
   Row row;
-  row.variant = kernel_variant_name(v);
+  row.variant = backend;
   row.storage = StorageTraits<S>::name();
   row.populationBytes = solver.populationBytes();
   const std::size_t oneLattice =
@@ -77,8 +77,8 @@ Row runVariant(KernelVariant v) {
 
 template <class S>
 void runLadder(std::vector<Row>& rows) {
-  rows.push_back(runVariant<S>(KernelVariant::Fused));
-  rows.push_back(runVariant<S>(KernelVariant::Esoteric));
+  rows.push_back(runVariant<S>("fused"));
+  rows.push_back(runVariant<S>("esoteric"));
 }
 
 }  // namespace
@@ -99,9 +99,9 @@ int main(int argc, char** argv) {
   runLadder<float>(rows);
   runLadder<f16>(rows);
   // Legacy ablations at f64 (§IV-A/C: layout, fusion, push-vs-pull).
-  rows.push_back(runVariant<double>(KernelVariant::Generic));
-  rows.push_back(runVariant<double>(KernelVariant::TwoStep));
-  rows.push_back(runVariant<double>(KernelVariant::Push));
+  rows.push_back(runVariant<double>("generic"));
+  rows.push_back(runVariant<double>("twostep"));
+  rows.push_back(runVariant<double>("push"));
 
   perf::printHeading("Kernel-variant MLUPS ladder — D3Q19 periodic " +
                      std::to_string(kN) + "^3, best of " +

@@ -101,7 +101,7 @@ int main(int argc, char** argv) {
   }
   perf::printHeading("Backend trial ladder (measured, proxy lattice)");
   perf::Table kt({"backend", "trial MLUPS", "note"});
-  for (const char* name : {"fused", "esoteric", "threads"}) {
+  for (const char* name : {"fused", "esoteric"}) {
     const auto it = trialPlan.evidence.find(std::string("trial.backend.") +
                                             name + "_mlups");
     kt.addRow({name,
@@ -189,7 +189,7 @@ int main(int argc, char** argv) {
     rt2.setText("halo_mode", tune::halo_mode_name(plan.haloMode));
     rt2.setText("source", plan.source);
     rt2.setText("backend", trialPlan.backend);
-    for (const char* name : {"fused", "esoteric", "threads"}) {
+    for (const char* name : {"fused", "esoteric"}) {
       const auto it = trialPlan.evidence.find(std::string("trial.backend.") +
                                               name + "_mlups");
       if (it != trialPlan.evidence.end())

@@ -8,11 +8,11 @@
 //        swlb_run --demo [--trace out.json] [--tune] [...]
 //
 // --backend NAME selects the stream/collide backend from the registry
-// (DESIGN.md §14: fused, generic, twostep, push, esoteric, threads,
-// swcpe) on every path — single-rank, --ranks and --patches.  An unknown
-// name or a capability conflict (e.g. an in-place backend under
-// --patches) is an explicit error, never a silent fallback.  The flag
-// overrides the tuned plan's pick.
+// (DESIGN.md §14: fused, generic, twostep, push, esoteric, swcpe) on
+// every path — single-rank, --ranks and --patches.  An unknown name or a
+// capability conflict (e.g. an in-place backend under --patches) is an
+// explicit error, never a silent fallback.  The flag overrides the tuned
+// plan's pick.
 //
 // --ranks N runs the case on the N-rank distributed runtime (cavity only
 // in this driver) under the resilient driver; --max-shrinks K additionally
@@ -32,11 +32,9 @@
 // --tune runs the auto-tuner (DESIGN.md §9) for this case's problem shape
 // before the run and prints the resulting plan: halo scheduling, the
 // collective ring threshold, the CPE LDM chunk width, the storage
-// precision advisory and the backend pick (plus, under --patches, the
-// per-patch backend map from plans produced with backend trials).  With
-// --tuning-cache the plan is read from / written to the given
-// swlb-tune-v1 JSON file, so a second identical run reports a cache hit
-// and skips the search.
+// precision advisory and the backend pick.  With --tuning-cache the plan
+// is read from / written to the given swlb-tune-v1 JSON file, so a second
+// identical run reports a cache hit and skips the search.
 //
 // Example config:
 //   case = cylinder
@@ -94,24 +92,13 @@ int runPatchedCavity(const app::Config& cfg, int ranks, int patchesPerRank,
   const Real uLid = cfg.getReal("lid_velocity", 0.05);
   const CollisionConfig col = app::collision_from_config(cfg);
 
-  // Backend plan: tuned pick (plus per-patch map from plans produced
-  // with backend trials) unless --backend pins one explicitly.
+  // Backend: the tuned pick unless --backend pins one explicitly.
   std::string backend = backendFlag.empty() ? "fused" : backendFlag;
-  std::map<int, std::string> patchBackends;
   if (tuneFlag) {
     tune::TuningInput tin;
     tin.lattice = "D3Q19";
     tin.extent = n;
     tin.ranks = ranks;
-    // Same layout choice PatchSolver makes, so patch ids line up.
-    const runtime::PatchLayout layout(
-        n, runtime::Decomposition::choose(
-               std::max(1, patchesPerRank) * ranks, n));
-    for (int p = 0; p < layout.patchCount(); ++p) {
-      const Box3 b = layout.boxOf(p);
-      tin.patchCells.push_back(static_cast<double>(b.hi.x - b.lo.x) *
-                               (b.hi.y - b.lo.y) * (b.hi.z - b.lo.z));
-    }
     tune::TuningCache cache;
     if (!tuneCachePath.empty()) cache = tune::TuningCache::load(tuneCachePath);
     const tune::TuningPlan plan = tune::Tuner().planCached(cache, tin);
@@ -120,9 +107,7 @@ int runPatchedCavity(const app::Config& cfg, int ranks, int patchesPerRank,
     if (!tuneCachePath.empty()) cache.save(tuneCachePath);
     if (backendFlag.empty()) {
       tune::apply(plan, backend);
-      tune::apply(plan, patchBackends);
-      std::cout << "tuning: backend -> " << backend << " ("
-                << patchBackends.size() << " per-patch overrides)\n";
+      std::cout << "tuning: backend -> " << backend << "\n";
     }
   }
   std::cout << "case 'cavity' on " << ranks << " ranks, patch mode: "
@@ -150,7 +135,6 @@ int runPatchedCavity(const app::Config& cfg, int ranks, int patchesPerRank,
     pcfg.rebalanceEvery =
         rebalanceEvery > 0 ? static_cast<std::uint64_t>(rebalanceEvery) : 0;
     pcfg.backend = backend;
-    pcfg.patchBackends = patchBackends;
     PatchSolver<D3Q19> solver(c, pcfg);
     const auto lid = solver.materials().addMovingWall({uLid, 0, 0});
     solver.paintGlobal({{0, 0, n.z - 1}, {n.x, n.y, n.z}}, lid);

@@ -13,7 +13,7 @@ const std::vector<BackendInfo>& backend_catalog() {
       {"fused",
        "optimized SoA fused pull kernel, vectorized bulk runs (the "
        "bit-identity reference)",
-       BackendCaps{.usesHostThreads = true},
+       BackendCaps{},
        BackendCostHints{}},
       {"generic",
        "portable field-agnostic fused pull kernel (readable reference)",
@@ -25,21 +25,17 @@ const std::vector<BackendInfo>& backend_catalog() {
        BackendCostHints{.relativeRate = 0.7}},
       {"push",
        "fused collide + push streaming (layout ablation baseline)",
-       BackendCaps{.distributed = false, .stepConformant = false},
+       BackendCaps{.distributed = false, .subRange = false,
+                   .stepConformant = false},
        BackendCostHints{.relativeRate = 0.9}},
       {"esoteric",
        "in-place Esoteric-Pull streaming, single buffer (0.5x memory)",
-       BackendCaps{.inPlaceStreaming = true, .supportsOutflow = false,
-                   .usesHostThreads = true},
-       BackendCostHints{.memoryFactor = 0.5}},
-      {"threads",
-       "persistent host thread team over z-slabs (OpenMP when available)",
-       BackendCaps{.usesHostThreads = true},
-       BackendCostHints{.stepOverheadSeconds = 2e-5}},
+       BackendCaps{.inPlaceStreaming = true, .supportsOutflow = false},
+       BackendCostHints{}},
       {"swcpe",
        "SW26010 CPE-cluster emulator: 64-CPE y-partition, LDM-blocked DMA",
        BackendCaps{.subRange = false},
-       BackendCostHints{.relativeRate = 0.02, .stepOverheadSeconds = 1e-4},
+       BackendCostHints{.relativeRate = 0.02},
        "D2Q9 D3Q19", "all"},
       // BACKEND-CATALOG-END
   };
@@ -50,21 +46,6 @@ const BackendInfo* find_backend_info(const std::string& name) {
   for (const BackendInfo& b : backend_catalog())
     if (b.name == name) return &b;
   return nullptr;
-}
-
-KernelVariant kernel_variant_from_name(const std::string& name) {
-  for (KernelVariant v :
-       {KernelVariant::Fused, KernelVariant::Generic, KernelVariant::TwoStep,
-        KernelVariant::Push, KernelVariant::Esoteric,
-        KernelVariant::Threads, KernelVariant::SwCpe})
-    if (name == kernel_variant_name(v)) return v;
-  std::string known;
-  for (const BackendInfo& b : backend_catalog()) {
-    if (!known.empty()) known += ", ";
-    known += b.name;
-  }
-  throw Error("unknown kernel backend '" + name + "' (registered: " + known +
-              ")");
 }
 
 }  // namespace swlb

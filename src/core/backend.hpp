@@ -2,10 +2,13 @@
 // stream/collide execution strategy implements, so Solver,
 // DistributedSolver and PatchSolver dispatch through a registry instead
 // of per-variant switch statements — the miniLB-style portability layer
-// (PAPERS.md, arXiv:2409.16781).  A backend owns *how* one fused LBM
-// update executes (serial sweep, a host thread team, the SW CPE
-// emulator, in-place Esoteric-Pull); the solvers own *when*: halo
-// wraps, exchanges, parity, observables.
+// (PAPERS.md, arXiv:2409.16781).  A backend owns *what* one fused LBM
+// update computes (fused sweep, the SW CPE emulator, in-place
+// Esoteric-Pull); the solvers own *when*: halo wraps, exchanges, parity,
+// observables.  How many host threads run it is neither's business: the
+// solvers call the non-virtual entry points (run, runInPlaceEven/Odd),
+// which slice caps.subRange backends over one persistent team
+// (core/kernels_team.hpp) and call every other backend once.
 //
 // Contract summary (details on each hook below):
 //
@@ -21,55 +24,20 @@
 //     HaloExchange order (q outer, then z, y, x) — the bytes ghost
 //     messages and patch strips carry.  Backends with exotic layouts
 //     override them; the defaults copy PopulationFieldT::raw verbatim.
-//   * All hooks are called from the solver's step thread.  A backend may
-//     spawn or pool its own workers inside step() (caps.usesHostThreads
-//     backends honor the `threads` argument), but must return only after
-//     `dst` is fully written — hooks never overlap each other.
+//   * A caps.subRange backend's step hooks run concurrently on disjoint
+//     z-slabs of one call's range; the others are called once from the
+//     solver's step thread.  Calls never overlap each other.
 //
-// Units: cost hints are seconds and dimensionless ratios; `threads` is a
-// host-thread count where <= 0 means "one per hardware core".
+// Units: cost hints are dimensionless ratios; `threads` is a host-thread
+// count where <= 0 means "one per hardware core".
 #pragma once
 
-#include <functional>
-#include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "core/kernels.hpp"
+#include "core/kernels_team.hpp"
 
 namespace swlb {
-
-/// Which stream/collide implementation a solver drives each step.  Every
-/// enumerator is also a registered backend under kernel_variant_name();
-/// the enum survives as the cheap config-struct spelling of that name.
-enum class KernelVariant {
-  Fused,     ///< production path: optimized SoA fused pull kernel
-  Generic,   ///< portable fused pull kernel (reference implementation)
-  TwoStep,   ///< separate stream + collide (fusion ablation baseline)
-  Push,      ///< fused collide + push streaming (layout ablation baseline)
-  Esoteric,  ///< in-place single-buffer streaming (0.5x population memory)
-  Threads,   ///< persistent host thread team over z-slabs (OpenMP or pool)
-  SwCpe,     ///< SW26010 CPE-cluster emulator (LDM-blocked, bit-identical)
-};
-
-inline const char* kernel_variant_name(KernelVariant v) {
-  switch (v) {
-    case KernelVariant::Fused: return "fused";
-    case KernelVariant::Generic: return "generic";
-    case KernelVariant::TwoStep: return "twostep";
-    case KernelVariant::Push: return "push";
-    case KernelVariant::Esoteric: return "esoteric";
-    case KernelVariant::Threads: return "threads";
-    case KernelVariant::SwCpe: return "swcpe";
-  }
-  return "?";
-}
-
-/// Inverse of kernel_variant_name.  Throws on names that are not
-/// registered backends — the explicit-rejection path that replaced the
-/// old silent switch-default fallbacks.
-KernelVariant kernel_variant_from_name(const std::string& name);
 
 /// What a backend can and cannot do.  Solvers check these flags up front
 /// and reject unsupported combinations with a named error — never fall
@@ -88,9 +56,12 @@ struct BackendCaps {
   /// DistributedSolver / PatchSolver.  Off for the single-rank ablation
   /// baselines (twostep, push).
   bool distributed = true;
-  /// step() accepts an arbitrary sub-box of the interior (required for
-  /// the overlap schedule's inner/shell split).  Off for whole-block
-  /// backends (swcpe): DistributedSolver then forces Sequential mode.
+  /// step() over disjoint z-slabs of `range`, run concurrently, equals
+  /// one step() over `range`.  The executor slices such backends across
+  /// the solver's host threads, and DistributedSolver's overlap schedule
+  /// relies on it for its inner/shell split.  Off for push (its scatter
+  /// writes outside `range` in an order-dependent way) and whole-block
+  /// backends (swcpe: DistributedSolver then forces Sequential mode).
   bool subRange = true;
   /// Output is bit-identical to stream_collide_fused at equal storage.
   /// The conformance harness enforces bitwise equality where set and a
@@ -101,26 +72,16 @@ struct BackendCaps {
   /// half-update away); such backends are checked via invariants (mass
   /// conservation) instead of lockstep identity.
   bool stepConformant = true;
-  /// Honors the `threads` argument of step() (z-slab intra-rank
-  /// parallelism, bit-identical for any thread count).
-  bool usesHostThreads = false;
 };
 
-/// A-priori cost model inputs for the tuner's per-patch backend choice.
-/// Trials measure the real rate; hints break ties and scale the measured
-/// proxy rate to patches the trial never ran.
+/// A-priori cost hints.  Trials measure the real rate; hints only size
+/// work that must stay interactive (bench_backends trims the emulator's
+/// reps by them).
 struct BackendCostHints {
   /// Expected throughput multiplier vs the fused backend on the same
   /// host (dimensionless; 1.0 = parity).  Advisory only — measured
   /// trial MLUPS always override it.
   double relativeRate = 1.0;
-  /// Fixed cost per step() invocation in seconds (thread fork/join
-  /// barriers, emulator dispatch).  Dominates on small patches, which is
-  /// why the tuner's per-patch map keeps them on serial backends.
-  double stepOverheadSeconds = 0.0;
-  /// Population-storage bytes relative to the two-lattice A-B pair
-  /// (esoteric: 0.5).
-  double memoryFactor = 1.0;
 };
 
 /// Registry/docs entry for one backend: identity, one-line summary, and
@@ -148,9 +109,7 @@ const BackendInfo* find_backend_info(const std::string& name);
 /// Arguments of one two-lattice update: read `src`, write `dst` over
 /// `range` (interior coordinates; halos of `src` are already prepared by
 /// the caller exactly as for stream_collide_fused).  `periodic` is only
-/// consulted by push-style scatters that wrap in-kernel; `threads` is
-/// the host-thread hint for caps.usesHostThreads backends (<= 0 = one
-/// per hardware core).
+/// consulted by push-style scatters that wrap in-kernel.
 template <class D, class S>
 struct BackendStepArgs {
   const PopulationFieldT<S>* src = nullptr;
@@ -160,13 +119,12 @@ struct BackendStepArgs {
   const CollisionConfig* cfg = nullptr;
   Box3 range;
   Periodicity periodic;
-  int threads = 1;
 };
 
 /// Abstract kernel backend for lattice D and storage S.  Instances are
 /// created per solver (or per patch) through make_backend and may hold
-/// mutable execution state (thread pools, the CPE cluster, LDM arenas);
-/// they are not shared between solvers.
+/// mutable execution state (the CPE cluster, LDM arenas); they are not
+/// shared between solvers.
 template <class D, class S>
 class KernelBackend {
  public:
@@ -196,30 +154,32 @@ class KernelBackend {
                         "streaming has no extrapolation slot)");
   }
 
-  /// One two-lattice stream/collide update (see BackendStepArgs).
-  /// In-place backends throw — callers must branch on
-  /// caps.inPlaceStreaming first.
-  virtual void step(const BackendStepArgs<D, S>& a) = 0;
-
-  /// Even in-place phase: sweep `range` of the single buffer, leaving it
-  /// in the rotated Esoteric-Pull layout.  The caller wraps periodic
-  /// halos before and folds the outward scatter back (reverse wrap /
-  /// reverse exchange) after.  Only caps.inPlaceStreaming backends
-  /// implement the pair; the defaults throw.
-  virtual void stepInPlaceEven(Field&, const MaskField&,
-                               const MaterialTable&, const CollisionConfig&,
-                               const Box3&, int /*threads*/) {
-    throw Error("backend '" + info().name +
-                "' does not stream in place (no even-phase hook)");
+  /// The entry points the solvers call, `threads` host lanes each (<= 0
+  /// = one per hardware core).  A caps.subRange backend runs as the
+  /// team_slab z-slabs of `range` on the calling thread's team
+  /// (run_slabs, core/kernels_team.hpp); any other backend gets one hook
+  /// call over the whole range.  Every lane count is bitwise equal to
+  /// one lane.
+  void run(const BackendStepArgs<D, S>& a, int threads) {
+    sweep(a.range, threads, [&](const Box3& slab) {
+      BackendStepArgs<D, S> s = a;
+      s.range = slab;
+      step(s);
+    });
   }
-
-  /// Odd in-place phase: purely local rotated-layout sweep (no halo
-  /// traffic), restoring the natural layout.
-  virtual void stepInPlaceOdd(Field&, const MaskField&, const MaterialTable&,
-                              const CollisionConfig&, const Box3&,
-                              int /*threads*/) {
-    throw Error("backend '" + info().name +
-                "' does not stream in place (no odd-phase hook)");
+  void runInPlaceEven(Field& f, const MaskField& mask,
+                      const MaterialTable& mats, const CollisionConfig& cfg,
+                      const Box3& range, int threads) {
+    sweep(range, threads, [&](const Box3& slab) {
+      stepInPlaceEven(f, mask, mats, cfg, slab);
+    });
+  }
+  void runInPlaceOdd(Field& f, const MaskField& mask,
+                     const MaterialTable& mats, const CollisionConfig& cfg,
+                     const Box3& range, int threads) {
+    sweep(range, threads, [&](const Box3& slab) {
+      stepInPlaceOdd(f, mask, mats, cfg, slab);
+    });
   }
 
   /// Serialize `box` of `f` into `out` as raw storage elements in the
@@ -245,6 +205,41 @@ class KernelBackend {
         for (int y = box.lo.y; y < box.hi.y; ++y)
           for (int x = box.lo.x; x < box.hi.x; ++x)
             f.raw(q, x, y, z) = in[k++];
+  }
+
+ protected:
+  /// One two-lattice stream/collide update (see BackendStepArgs).
+  /// In-place backends throw — callers must branch on
+  /// caps.inPlaceStreaming first.
+  virtual void step(const BackendStepArgs<D, S>& a) = 0;
+
+  /// Even in-place phase: sweep `range` of the single buffer, leaving it
+  /// in the rotated Esoteric-Pull layout.  The caller wraps periodic
+  /// halos before and folds the outward scatter back (reverse wrap /
+  /// reverse exchange) after.  Only caps.inPlaceStreaming backends
+  /// implement the pair; the defaults throw.
+  virtual void stepInPlaceEven(Field&, const MaskField&,
+                               const MaterialTable&, const CollisionConfig&,
+                               const Box3&) {
+    throw Error("backend '" + info().name +
+                "' does not stream in place (no even-phase hook)");
+  }
+
+  /// Odd in-place phase: purely local rotated-layout sweep (no halo
+  /// traffic), restoring the natural layout.
+  virtual void stepInPlaceOdd(Field&, const MaskField&, const MaterialTable&,
+                              const CollisionConfig&, const Box3&) {
+    throw Error("backend '" + info().name +
+                "' does not stream in place (no odd-phase hook)");
+  }
+
+ private:
+  template <class Hook>
+  void sweep(const Box3& range, int threads, Hook&& hook) {
+    if (info().caps.subRange)
+      run_slabs(range, threads, hook);
+    else
+      hook(range);
   }
 };
 

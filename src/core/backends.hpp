@@ -8,15 +8,13 @@
 // another one.
 #pragma once
 
+#include <functional>
+#include <map>
+#include <memory>
 #include <type_traits>
 
 #include "core/backend.hpp"
-#include "core/kernels_team.hpp"
 #include "sw/backend_cpe.hpp"
-
-#ifdef SWLB_OPENMP
-#include <omp.h>
-#endif
 
 namespace swlb {
 
@@ -41,9 +39,11 @@ template <class D, class S>
 class FusedBackend final : public detail::TwoLatticeBackend<D, S> {
  public:
   FusedBackend() : detail::TwoLatticeBackend<D, S>("fused") {}
+
+ protected:
   void step(const BackendStepArgs<D, S>& a) override {
-    stream_collide_fused_mt<D>(*a.src, *a.dst, *a.mask, *a.mats, *a.cfg,
-                               a.range, a.threads);
+    stream_collide_fused<D>(*a.src, *a.dst, *a.mask, *a.mats, *a.cfg,
+                            a.range);
   }
 };
 
@@ -51,6 +51,8 @@ template <class D, class S>
 class GenericBackend final : public detail::TwoLatticeBackend<D, S> {
  public:
   GenericBackend() : detail::TwoLatticeBackend<D, S>("generic") {}
+
+ protected:
   void step(const BackendStepArgs<D, S>& a) override {
     stream_collide_generic<D>(*a.src, *a.dst, *a.mask, *a.mats, *a.cfg,
                               a.range);
@@ -61,6 +63,8 @@ template <class D, class S>
 class TwoStepBackend final : public detail::TwoLatticeBackend<D, S> {
  public:
   TwoStepBackend() : detail::TwoLatticeBackend<D, S>("twostep") {}
+
+ protected:
   void step(const BackendStepArgs<D, S>& a) override {
     stream_only<D>(*a.src, *a.dst, *a.mask, *a.mats, a.range);
     collide_inplace<D>(*a.dst, *a.mask, *a.mats, *a.cfg, a.range);
@@ -71,6 +75,8 @@ template <class D, class S>
 class PushBackend final : public detail::TwoLatticeBackend<D, S> {
  public:
   PushBackend() : detail::TwoLatticeBackend<D, S>("push") {}
+
+ protected:
   void step(const BackendStepArgs<D, S>& a) override {
     stream_collide_push<D>(*a.src, *a.dst, *a.mask, *a.mats, *a.cfg, a.range,
                            a.periodic);
@@ -85,60 +91,22 @@ class EsotericBackend final : public detail::TwoLatticeBackend<D, S> {
  public:
   using Field = PopulationFieldT<S>;
   EsotericBackend() : detail::TwoLatticeBackend<D, S>("esoteric") {}
+
+ protected:
   void step(const BackendStepArgs<D, S>&) override {
     throw Error("backend 'esoteric' streams in place; use the "
                 "stepInPlaceEven/Odd hooks");
   }
   void stepInPlaceEven(Field& f, const MaskField& mask,
                        const MaterialTable& mats, const CollisionConfig& cfg,
-                       const Box3& range, int threads) override {
-    stream_collide_esoteric_even_mt<D>(f, mask, mats, cfg, range, threads);
+                       const Box3& range) override {
+    stream_collide_esoteric_even<D>(f, mask, mats, cfg, range);
   }
   void stepInPlaceOdd(Field& f, const MaskField& mask,
                       const MaterialTable& mats, const CollisionConfig& cfg,
-                      const Box3& range, int threads) override {
-    stream_collide_esoteric_odd_mt<D>(f, mask, mats, cfg, range, threads);
+                      const Box3& range) override {
+    stream_collide_esoteric_odd<D>(f, mask, mats, cfg, range);
   }
-};
-
-/// Host thread-team backend: the fused kernel over the canonical z-slab
-/// split, executed by a persistent team (OpenMP when the build has it,
-/// the TeamPool fallback otherwise) instead of per-step thread spawns.
-/// `threads <= 0` selects one lane per hardware core — the knob that
-/// lets a single rank use the whole host (the CPE-cluster role on
-/// commodity machines).
-template <class D, class S>
-class ThreadTeamBackend final : public detail::TwoLatticeBackend<D, S> {
- public:
-  ThreadTeamBackend() : detail::TwoLatticeBackend<D, S>("threads") {}
-  void step(const BackendStepArgs<D, S>& a) override {
-    const int nz = a.range.hi.z - a.range.lo.z;
-    const int n = std::max(1, std::min(resolve_host_threads(a.threads), nz));
-    if (n <= 1) {
-      stream_collide_fused<D>(*a.src, *a.dst, *a.mask, *a.mats, *a.cfg,
-                              a.range);
-      return;
-    }
-#ifdef SWLB_OPENMP
-#pragma omp parallel num_threads(n)
-    {
-      const int t = omp_get_thread_num();
-      if (t < n)
-        stream_collide_fused<D>(*a.src, *a.dst, *a.mask, *a.mats, *a.cfg,
-                                team_slab(a.range, t, n));
-    }
-#else
-    pool_.parallelFor(n, [&](int t) {
-      stream_collide_fused<D>(*a.src, *a.dst, *a.mask, *a.mats, *a.cfg,
-                              team_slab(a.range, t, n));
-    });
-#endif
-  }
-
- private:
-#ifndef SWLB_OPENMP
-  TeamPool pool_;
-#endif
 };
 
 /// Factory registry for one (lattice, storage) instantiation.  Built-ins
@@ -189,8 +157,6 @@ class BackendRegistry {
     add("twostep", [] { return std::make_unique<TwoStepBackend<D, S>>(); });
     add("push", [] { return std::make_unique<PushBackend<D, S>>(); });
     add("esoteric", [] { return std::make_unique<EsotericBackend<D, S>>(); });
-    add("threads",
-        [] { return std::make_unique<ThreadTeamBackend<D, S>>(); });
     // The CPE kernel is explicitly instantiated for D3Q19/D2Q9 only
     // (sw/sw_kernels.cpp); other lattices must get the not-registered
     // error above, not a link error.

@@ -9,10 +9,8 @@
 // (Fig. 8 / Fig. 11 ladders) and for cross-validation tests.
 #pragma once
 
-#include <thread>
 #include <type_traits>
 #include <utility>
-#include <vector>
 
 #include "core/boundary.hpp"
 #include "core/collision.hpp"
@@ -547,35 +545,6 @@ void stream_collide_push(const PopulationFieldT<S>& src,
           }
         }
       }
-}
-
-/// Multithreaded fused pull kernel: splits `range` into z-slabs, one per
-/// host thread (the intra-rank analogue of the 64-CPE partition; writes
-/// are disjoint, so the result is bit-identical to the serial kernel —
-/// tested).  nThreads <= 1 falls back to the serial kernel.
-template <class D, class S>
-void stream_collide_fused_mt(const PopulationFieldT<S>& src,
-                             PopulationFieldT<S>& dst, const MaskField& mask,
-                             const MaterialTable& mats,
-                             const CollisionConfig& cfg, const Box3& range,
-                             int nThreads) {
-  const int nz = range.hi.z - range.lo.z;
-  if (nThreads <= 1 || nz <= 1) {
-    stream_collide_fused<D>(src, dst, mask, mats, cfg, range);
-    return;
-  }
-  nThreads = std::min(nThreads, nz);
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<std::size_t>(nThreads));
-  for (int t = 0; t < nThreads; ++t) {
-    Box3 slab = range;
-    slab.lo.z = range.lo.z + static_cast<int>(static_cast<long long>(nz) * t / nThreads);
-    slab.hi.z = range.lo.z + static_cast<int>(static_cast<long long>(nz) * (t + 1) / nThreads);
-    workers.emplace_back([&, slab] {
-      stream_collide_fused<D>(src, dst, mask, mats, cfg, slab);
-    });
-  }
-  for (auto& w : workers) w.join();
 }
 
 namespace detail {

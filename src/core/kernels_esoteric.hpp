@@ -59,7 +59,9 @@ constexpr bool esoteric_supports(CellClass cls) {
 /// Even (phase 0 -> 1) in-place update: pull-gather from the natural
 /// layout, collide, scatter post-collision values downstream into the
 /// opposite slots.  Any sub-box order is valid (read set == write set per
-/// cell), so the _mt wrapper splits z-slabs exactly like the fused kernel.
+/// cell), so the host-thread executor splits z-slabs exactly like the
+/// fused kernel: writes may cross slab edges, but no two cells share an
+/// address.
 template <class D, class S>
 void stream_collide_esoteric_even(PopulationFieldT<S>& f, const MaskField& mask,
                                   const MaterialTable& mats,
@@ -336,63 +338,6 @@ void stream_collide_esoteric_odd(PopulationFieldT<S>& f, const MaskField& mask,
         x = xe;
       }
     }
-}
-
-/// z-slab multithreaded drivers: valid because each cell's read and write
-/// sets are its own in both phases (writes may cross slab edges, but no
-/// two cells share an address).  Bit-identical for any thread count.
-template <class D, class S>
-void stream_collide_esoteric_even_mt(PopulationFieldT<S>& f,
-                                     const MaskField& mask,
-                                     const MaterialTable& mats,
-                                     const CollisionConfig& cfg,
-                                     const Box3& range, int nThreads) {
-  const int nz = range.hi.z - range.lo.z;
-  if (nThreads <= 1 || nz <= 1) {
-    stream_collide_esoteric_even<D>(f, mask, mats, cfg, range);
-    return;
-  }
-  nThreads = std::min(nThreads, nz);
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<std::size_t>(nThreads));
-  for (int t = 0; t < nThreads; ++t) {
-    Box3 slab = range;
-    slab.lo.z =
-        range.lo.z + static_cast<int>(static_cast<long long>(nz) * t / nThreads);
-    slab.hi.z = range.lo.z +
-                static_cast<int>(static_cast<long long>(nz) * (t + 1) / nThreads);
-    workers.emplace_back([&, slab] {
-      stream_collide_esoteric_even<D>(f, mask, mats, cfg, slab);
-    });
-  }
-  for (auto& w : workers) w.join();
-}
-
-template <class D, class S>
-void stream_collide_esoteric_odd_mt(PopulationFieldT<S>& f,
-                                    const MaskField& mask,
-                                    const MaterialTable& mats,
-                                    const CollisionConfig& cfg,
-                                    const Box3& range, int nThreads) {
-  const int nz = range.hi.z - range.lo.z;
-  if (nThreads <= 1 || nz <= 1) {
-    stream_collide_esoteric_odd<D>(f, mask, mats, cfg, range);
-    return;
-  }
-  nThreads = std::min(nThreads, nz);
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<std::size_t>(nThreads));
-  for (int t = 0; t < nThreads; ++t) {
-    Box3 slab = range;
-    slab.lo.z =
-        range.lo.z + static_cast<int>(static_cast<long long>(nz) * t / nThreads);
-    slab.hi.z = range.lo.z +
-                static_cast<int>(static_cast<long long>(nz) * (t + 1) / nThreads);
-    workers.emplace_back([&, slab] {
-      stream_collide_esoteric_odd<D>(f, mask, mats, cfg, slab);
-    });
-  }
-  for (auto& w : workers) w.join();
 }
 
 /// Reverse periodic wrap, run *after* the even step: boundary cells have

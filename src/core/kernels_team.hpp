@@ -1,24 +1,19 @@
-// Persistent host-thread team for the "threads" backend (DESIGN.md §14).
+// Host-thread executor for sub-range backends (DESIGN.md §14).
 //
-// The existing _mt kernel drivers spawn-and-join std::threads on every
-// step — correct (z-slab writes are disjoint, bit-identical for any
-// thread count) but the fork cost is paid per step.  The thread-team
-// backend keeps the workers alive instead:
-//
-//   * with OpenMP (SWLB_OPENMP, set by CMake when the toolchain has it
-//     and no sanitizer is active — libgomp's barriers are opaque to
-//     TSan), one `#pragma omp parallel` region per step reuses libgomp's
-//     persistent team;
-//   * otherwise TeamPool below parks std::threads on a condition
-//     variable and wakes them per step — same slab split, same results,
-//     and clean under every sanitizer.
-//
-// Both paths run stream_collide_fused over the identical z-slab
-// partition as stream_collide_fused_mt, so the backend inherits its
-// bit-identity claim (tests/kernel_conformance.hpp enforces it at 1, 2
-// and hardware_concurrency threads).
+// The paper launches its CPE kernel one way: Athread spawns one kernel
+// over a fixed 64-CPE partition and joins it (§IV-A; sw/athread.hpp).
+// The host analogue here is one executor for every backend whose step()
+// over disjoint z-slabs, run concurrently, equals one step() over the
+// whole range (caps.subRange): run_slabs splits the range into the
+// canonical team_slab z-slabs and runs them on a persistent TeamPool,
+// the caller taking slab 0.  Kernels never see a
+// thread count, so the split is the only thing that varies with it —
+// and because slab writes are disjoint, every lane count is bitwise
+// equal to one lane.  TeamPool is plain std::thread + mutex, so the same
+// team runs in release and under every sanitizer.
 #pragma once
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -30,10 +25,8 @@
 
 namespace swlb {
 
-/// The canonical z-slab of thread `t` out of `n` over `range` — the same
-/// split stream_collide_fused_mt uses, factored out so every threaded
-/// driver partitions identically (a prerequisite for bit-identity claims
-/// that quote "the MT segmentation").
+/// The canonical z-slab of lane `t` out of `n` over `range`.  Every
+/// thread count partitions through this one formula.
 inline Box3 team_slab(const Box3& range, int t, int n) {
   const long long nz = range.hi.z - range.lo.z;
   Box3 slab = range;
@@ -71,8 +64,7 @@ class TeamPool {
   }
 
   /// Run fn(t) for every t in [0, n) across the team and return when all
-  /// lanes finished.  Not reentrant (one parallelFor at a time per pool
-  /// — the solvers' step hooks never overlap, see KernelBackend docs).
+  /// lanes finished.  Not reentrant (one parallelFor at a time per pool).
   void parallelFor(int n, const std::function<void(int)>& fn) {
     if (n <= 1) {
       fn(0);
@@ -125,5 +117,28 @@ class TeamPool {
   int pending_ = 0;
   bool stop_ = false;
 };
+
+/// The calling thread's team.  One per stepping thread: ranks and serve
+/// workers are threads, parallelFor is not reentrant, and every solver
+/// and patch a thread steps shares its one team.
+inline TeamPool& thread_team() {
+  thread_local TeamPool pool;
+  return pool;
+}
+
+/// Run `hook(slab)` over `range` split into team_slab z-slabs across
+/// `threads` lanes (<= 0 = one per hardware core, clamped to the number
+/// of z-planes).  One lane calls the hook directly with `range`; more
+/// run on thread_team(), the caller taking slab 0.
+template <class Hook>
+void run_slabs(const Box3& range, int threads, Hook&& hook) {
+  const int n = std::min(resolve_host_threads(threads),
+                         range.hi.z - range.lo.z);
+  if (n <= 1) {
+    hook(range);
+    return;
+  }
+  thread_team().parallelFor(n, [&](int t) { hook(team_slab(range, t, n)); });
+}
 
 }  // namespace swlb

@@ -2,7 +2,8 @@
 // mask, and the time loop (paper §IV-A: pull scheme, SoA, A-B pattern).
 // The stream/collide execution itself is delegated to a KernelBackend
 // (core/backend.hpp, DESIGN.md §14): the solver schedules wraps, parity
-// and observables; the backend runs the update.
+// and observables and sets the host-thread count; the backend runs the
+// update.
 #pragma once
 
 #include <chrono>
@@ -16,9 +17,6 @@
 #include "obs/context.hpp"
 
 namespace swlb {
-
-// KernelVariant (the enum spelling of backend names) lives in
-// core/backend.hpp together with the backend concept and registry.
 
 /// `S` selects the population *storage* precision (double / float / f16);
 /// all collision arithmetic stays in Real.  Defaults to lossless double.
@@ -69,16 +67,10 @@ class Solver {
       }
     }
     backend_ = std::move(next);
-    variant_ = kernel_variant_from_name(name);
     if (maskFinal_) backend_->init(grid_, mask_, mats_);
     obs::gaugeSet("solver.population_bytes",
                   static_cast<double>(populationBytes()));
   }
-
-  /// Enum spelling of setBackend (kept for config structs and call sites
-  /// that predate the registry).
-  void setVariant(KernelVariant v) { setBackend(kernel_variant_name(v)); }
-  KernelVariant variant() const { return variant_; }
   const KernelBackend<D, S>& backend() const { return *backend_; }
   const std::string& backendName() const { return backend_->info().name; }
 
@@ -88,9 +80,10 @@ class Solver {
   std::size_t populationBytes() const {
     return f_[0].bytes() + f_[1].bytes();
   }
-  /// Host threads for backends with caps.usesHostThreads (intra-rank
-  /// parallelism; results are bit-identical for any thread count).
-  /// <= 0 selects one thread per hardware core.
+  /// Host threads every caps.subRange backend's step is split across
+  /// (z-slabs on one persistent team, core/kernels_team.hpp; results are
+  /// bit-identical for any thread count).  <= 0 selects one thread per
+  /// hardware core.
   void setHostThreads(int n) { hostThreads_ = n; }
   int hostThreads() const { return hostThreads_; }
 
@@ -166,8 +159,7 @@ class Solver {
     args.cfg = &cfg_;
     args.range = grid_.interior();
     args.periodic = periodic_;
-    args.threads = hostThreads_;
-    backend_->step(args);
+    backend_->run(args, hostThreads_);
     parity_ = 1 - parity_;
     ++steps_;
   }
@@ -275,15 +267,15 @@ class Solver {
       }
       {
         obs::TraceScope kernelScope("compute.kernel");
-        backend_->stepInPlaceEven(f_[0], mask_, mats_, cfg_, range,
-                                  hostThreads_);
+        backend_->runInPlaceEven(f_[0], mask_, mats_, cfg_, range,
+                                 hostThreads_);
       }
       obs::TraceScope wrapScope("periodic_wrap");
       apply_periodic_reverse<D>(f_[0], periodic_);
     } else {
       obs::TraceScope kernelScope("compute.kernel");
-      backend_->stepInPlaceOdd(f_[0], mask_, mats_, cfg_, range,
-                               hostThreads_);
+      backend_->runInPlaceOdd(f_[0], mask_, mats_, cfg_, range,
+                              hostThreads_);
     }
   }
 
@@ -294,7 +286,6 @@ class Solver {
   MaskField mask_;
   MaterialTable mats_;
   std::unique_ptr<KernelBackend<D, S>> backend_;
-  KernelVariant variant_ = KernelVariant::Fused;
   int hostThreads_ = 1;
   int parity_ = 0;
   std::uint64_t steps_ = 0;

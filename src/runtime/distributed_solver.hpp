@@ -45,7 +45,7 @@ class DistributedSolver {
     HaloMode mode = HaloMode::Overlap;
     /// Process grid; {0,0,0} selects Decomposition::choose(comm.size()).
     Int3 procGrid{0, 0, 0};
-    /// Stream/collide backend (enum spelling; see core/backend.hpp).
+    /// Stream/collide backend by registry name (core/backend.hpp).
     /// Backends without caps.distributed (twostep, push) are rejected at
     /// construction.  In-place backends (esoteric) free the second
     /// buffer and only communicate on even steps (halved exchange
@@ -54,12 +54,9 @@ class DistributedSolver {
     /// into inner/shell passes around an exchange that its own scatter
     /// must precede.  Whole-block backends (!caps.subRange, swcpe) force
     /// HaloMode::Sequential for the same reason.
-    KernelVariant variant = KernelVariant::Fused;
-    /// Registry-name spelling of the backend; when non-empty it takes
-    /// precedence over `variant` (the tuner writes this field).
-    std::string backend;
-    /// Host threads for caps.usesHostThreads backends (<= 0 = one per
-    /// hardware core).
+    std::string backend = "fused";
+    /// Host threads each caps.subRange backend call is split across
+    /// (<= 0 = one per hardware core; see Solver::setHostThreads).
     int hostThreads = 1;
   };
 
@@ -77,14 +74,10 @@ class DistributedSolver {
         mask_(grid_, MaterialTable::kFluid) {
     if (decomp_.rankCount() != comm.size())
       throw Error("DistributedSolver: process grid does not match world size");
-    const std::string name = cfg_.backend.empty()
-                                 ? kernel_variant_name(cfg_.variant)
-                                 : cfg_.backend;
-    backend_ = make_backend<D, S>(name);
-    cfg_.variant = kernel_variant_from_name(name);
+    backend_ = make_backend<D, S>(cfg_.backend);
     const BackendCaps& caps = backend_->info().caps;
     if (!caps.distributed)
-      throw Error("DistributedSolver: backend '" + name +
+      throw Error("DistributedSolver: backend '" + cfg_.backend +
                   "' is a single-rank ablation baseline (capability "
                   "'distributed' is off)");
     // Whole-block backends cannot run the overlap schedule's inner/shell
@@ -233,7 +226,7 @@ class DistributedSolver {
   const KernelBackend<D, S>& backend() const { return *backend_; }
   const std::string& backendName() const { return backend_->info().name; }
   /// Effective halo schedule (may differ from the configured one when
-  /// the backend forces Sequential — see Config::variant docs).
+  /// the backend forces Sequential — see Config::backend docs).
   HaloMode haloMode() const { return cfg_.mode; }
 
   /// Bytes held in population storage (one lattice under Esoteric).
@@ -393,8 +386,7 @@ class DistributedSolver {
     args.cfg = &cfg_.collision;
     args.range = range;
     args.periodic = Periodicity{false, false, zWrapLocal()};
-    args.threads = cfg_.hostThreads;
-    backend_->step(args);
+    backend_->run(args, cfg_.hostThreads);
   }
 
   /// In-place (Esoteric-Pull) step.  Even phase: local z wrap, forward
@@ -417,8 +409,8 @@ class DistributedSolver {
       }
       {
         obs::TraceScope computeScope("compute.interior");
-        backend_->stepInPlaceEven(buf, mask_, mats_, cfg_.collision,
-                                  grid_.interior(), cfg_.hostThreads);
+        backend_->runInPlaceEven(buf, mask_, mats_, cfg_.collision,
+                                 grid_.interior(), cfg_.hostThreads);
       }
       {
         obs::TraceScope haloScope("halo.exchange");
@@ -428,8 +420,8 @@ class DistributedSolver {
       apply_periodic_reverse<D>(buf, Periodicity{false, false, zWrapLocal()});
     } else {
       obs::TraceScope computeScope("compute.interior");
-      backend_->stepInPlaceOdd(buf, mask_, mats_, cfg_.collision,
-                               grid_.interior(), cfg_.hostThreads);
+      backend_->runInPlaceOdd(buf, mask_, mats_, cfg_.collision,
+                              grid_.interior(), cfg_.hostThreads);
     }
   }
 

@@ -125,13 +125,14 @@ class PatchSolver {
     /// core/backend.hpp).  In-place backends are rejected: patch ghost
     /// exchange needs the two-lattice A-B contract.
     std::string backend = "fused";
-    /// Per-patch overrides (patch id -> backend name), the tuner's
+    /// Per-patch overrides (patch id -> backend name): a user-set
     /// heterogeneous mixed-backend plan.  Every rank must pass the same
     /// map (validated on all ranks; migration re-creates the patch's
     /// backend on the receiver from this same table).
     std::map<int, std::string> patchBackends;
-    /// Host threads for caps.usesHostThreads backends (<= 0 = one per
-    /// hardware core).
+    /// Host threads each caps.subRange patch sweep is split across (<= 0
+    /// = one per hardware core; see Solver::setHostThreads).  The patches
+    /// of a rank share its one team.
     int hostThreads = 1;
   };
 
@@ -259,8 +260,7 @@ class PatchSolver {
         args.cfg = &cfg_.collision;
         args.range = p.grid.interior();
         args.periodic = Periodicity{false, false, cfg_.periodic.z};
-        args.threads = cfg_.hostThreads;
-        p.backend->step(args);
+        p.backend->run(args, cfg_.hostThreads);
         const double dt =
             std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                           t0)

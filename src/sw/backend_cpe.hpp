@@ -4,8 +4,8 @@
 // the block along y over 64 CPEs and sweeps everything, so the backend
 // advertises caps.subRange = false — DistributedSolver then forces the
 // Sequential halo schedule instead of silently mis-running the overlap
-// split, and Solver/PatchSolver (which always pass the full interior)
-// use it unchanged.  Output stays bit-identical to the fused reference
+// split, and the host-thread executor hands it the whole block in one
+// call at any thread count.  Output stays bit-identical to the fused reference
 // (the emulator computes with the same per-cell arithmetic; test_sw_
 // kernels and the conformance suite both pin this).
 #pragma once
@@ -31,6 +31,7 @@ class SwCpeBackend final : public KernelBackend<D, S> {
     if (!cluster_) cluster_ = std::make_unique<CpeCluster>(spec_.cg);
   }
 
+ protected:
   void step(const BackendStepArgs<D, S>& a) override {
     if (a.range != a.src->grid().interior())
       throw Error(

@@ -247,9 +247,11 @@ double numberField(const JsonValue& obj, const char* name) {
 
 /// Backend spelling a cached plan may carry, mapped to the registered
 /// backend that now runs the same code: "simd" was folded into "fused",
-/// whose bulk runs vectorize themselves.
+/// whose bulk runs vectorize themselves, and "threads" ran "fused" on a
+/// thread team, which every sub-range backend now gets at the solver's
+/// host-thread count.
 std::string currentBackendName(const std::string& name) {
-  return name == "simd" ? "fused" : name;
+  return name == "simd" || name == "threads" ? "fused" : name;
 }
 
 TuningPlan planFromJson(const JsonValue& obj) {
@@ -268,8 +270,9 @@ TuningPlan planFromJson(const JsonValue& obj) {
   // Tolerant read: "backend" is the current spelling; plans written when
   // the knob was called the kernel variant carry "kernel_variant" with
   // the same value set; older plans have neither and mean "fused".
-  // Either key, and every patch_backends value, may name a backend that
-  // has since been folded into another (currentBackendName).
+  // Either key may name a backend that has since been folded into
+  // another (currentBackendName).  A "patch_backends" key from plans of
+  // the retired per-patch tuner is ignored.
   const auto be = obj.object.find("backend");
   const auto kv = obj.object.find("kernel_variant");
   if (be != obj.object.end()) {
@@ -280,24 +283,6 @@ TuningPlan planFromJson(const JsonValue& obj) {
     if (kv->second.type != JsonValue::Type::String)
       throw Error("tuning cache: \"kernel_variant\" is not a string");
     p.backend = currentBackendName(kv->second.str);
-  }
-  // Tolerant read: the per-patch backend map postdates every older
-  // schema revision and defaults to empty (every patch runs `backend`).
-  const auto pb = obj.object.find("patch_backends");
-  if (pb != obj.object.end()) {
-    if (pb->second.type != JsonValue::Type::Object)
-      throw Error("tuning cache: \"patch_backends\" is not an object");
-    for (const auto& [k, v] : pb->second.object) {
-      if (v.type != JsonValue::Type::String)
-        throw Error("tuning cache: patch_backends[\"" + k +
-                    "\"] is not a string");
-      try {
-        p.patchBackends[std::stoi(k)] = currentBackendName(v.str);
-      } catch (const std::exception&) {
-        throw Error("tuning cache: patch_backends key \"" + k +
-                    "\" is not a patch id");
-      }
-    }
   }
   // Tolerant read: plans written before the patch knob existed mean one
   // block per rank.
@@ -356,14 +341,7 @@ std::string to_json(const TuningPlan& plan) {
   }
   os << "}, \"halo_mode\": \"" << halo_mode_name(plan.haloMode)
      << "\", \"kernel_variant\": \"" << escape(plan.backend)
-     << "\", \"patch_backends\": {";
-  first = true;
-  for (const auto& [id, name] : plan.patchBackends) {
-    if (!first) os << ", ";
-    first = false;
-    os << '"' << id << "\": \"" << escape(name) << '"';
-  }
-  os << "}, \"patches_per_rank\": " << plan.patchesPerRank
+     << "\", \"patches_per_rank\": " << plan.patchesPerRank
      << ", \"precision\": \"" << escape(plan.precision)
      << "\", \"precision_advice\": \"" << escape(plan.precisionAdvice)
      << "\", \"ring_threshold_bytes\": " << plan.ringThresholdBytes

@@ -50,20 +50,15 @@ struct TuningPlan {
   /// LDM x-chunk width for sw::SwKernelConfig::chunkX (cells; >= 1 and
   /// <= sw::max_chunk_x for the target block).
   int chunkX = 32;
-  /// Stream/collide backend for Solver/DistributedSolver (registry name,
-  /// core/backend.hpp: "fused" | "esoteric" | "threads" | ...).
+  /// Stream/collide backend for Solver/DistributedSolver/PatchSolver
+  /// (registry name, core/backend.hpp: "fused" | "esoteric" | ...).
   /// "fused" unless wall-clock backend trials (TunerConfig::
   /// backendTrialSteps > 0) found a faster one.  Serialized as "backend";
   /// cache files from before the backend layer carry the same value
-  /// under "kernel_variant" and parse into this field; the retired name
-  /// "simd" reads as "fused".
+  /// under "kernel_variant" and parse into this field; the retired names
+  /// "simd" and "threads" read as "fused", which runs the same kernel at
+  /// the solver's host-thread count.
   std::string backend = "fused";
-  /// Per-patch backend overrides for PatchSolver::Config::patchBackends
-  /// (patch id -> registry name): the heterogeneous mixed-backend plan
-  /// derived from measured backend rates and per-patch cell counts
-  /// (TuningInput::patchCells).  Empty means every patch runs `backend`.
-  /// Absent from old cache files, which parse as empty.
-  std::map<int, std::string> patchBackends;
   /// Patches per rank for the patch-aware runtime (runtime/patches,
   /// DESIGN.md §13): granularity of the load balancer.  1 keeps the
   /// classic one-block-per-rank split; absent from old cache files,

@@ -146,10 +146,6 @@ double backendTrial(const std::string& name, const Int3& extent, int steps) {
   Solver<D, S> solver(g, CollisionConfig{}, Periodicity{true, true, true});
   solver.collision().omega = 1.5;
   solver.setBackend(name);
-  // The thread-team backend exists to use the whole host; trial it that
-  // way (<= 0 resolves to one lane per hardware core).  Other backends
-  // keep the serial default so the ladder compares single-thread rates.
-  if (name == "threads") solver.setHostThreads(0);
   solver.finalizeMask();
   solver.initUniform(1.0, {0.02, 0, 0});
   solver.run(2);  // warm-up
@@ -378,20 +374,18 @@ TuningPlan Tuner::plan(const TuningInput& in) const {
   }
 
   // ---- host backend: wall-clock trial ladder ---------------------------
-  // The registered host ladder (fused, esoteric, threads) on a
-  // single-rank proxy block.  The pick is MLUPS-argmax with ties (within
-  // 1%) kept on "fused"; without trials the default "fused" stands,
-  // keeping plan() deterministic.
-  std::map<std::string, double> backendMlups;
+  // The registered host ladder (fused, esoteric) on a single-rank proxy
+  // block at the solver's default one host thread.  The pick is
+  // MLUPS-argmax with ties (within 1%) kept on "fused"; without trials
+  // the default "fused" stands, keeping plan() deterministic.
   if (cfg_.backendTrialSteps > 0) {
     Int3 proxy = proxyExtent(in.extent, 1, cfg_.trialCellsPerRank);
     if (in.lattice == "D2Q9") proxy.z = 1;
-    const char* ladder[] = {"fused", "esoteric", "threads"};
+    const char* ladder[] = {"fused", "esoteric"};
     double fusedMlups = 0, pickMlups = 0;
     for (const char* name : ladder) {
       const double mlups =
           runBackendTrial(in, name, proxy, cfg_.backendTrialSteps);
-      backendMlups[name] = mlups;
       plan.evidence[std::string("trial.backend.") + name + "_mlups"] = mlups;
       if (std::string(name) == "fused") {
         fusedMlups = pickMlups = mlups;
@@ -404,37 +398,6 @@ TuningPlan Tuner::plan(const TuningInput& in) const {
   }
 
   plan.patchesPerRank = std::max(1, cfg_.patchesPerRank);
-
-  // ---- per-patch backend map -------------------------------------------
-  // With measured rates and per-patch cell counts in hand, predict each
-  // patch's step seconds per candidate as cells / (rate * 1e6) + the
-  // catalog's fixed per-step overhead, and record the argmin.  Candidates
-  // are the two-lattice backends the patch runtime accepts (in-place
-  // backends are rejected there); small patches land on serial backends
-  // because the thread team's fork/join overhead dominates them.
-  if (!in.patchCells.empty() && !backendMlups.empty()) {
-    const char* candidates[] = {"fused", "threads"};
-    for (std::size_t pid = 0; pid < in.patchCells.size(); ++pid) {
-      std::string bestName = "fused";
-      double bestS = 0;
-      bool first = true;
-      for (const char* name : candidates) {
-        const auto it = backendMlups.find(name);
-        if (it == backendMlups.end() || it->second <= 0) continue;
-        const double s = in.patchCells[pid] / (it->second * 1e6) +
-                         find_backend_info(name)->hints.stepOverheadSeconds;
-        if (first || s < bestS) {
-          bestName = name;
-          bestS = s;
-          first = false;
-        }
-      }
-      if (bestName != plan.backend)
-        plan.patchBackends[static_cast<int>(pid)] = bestName;
-    }
-    plan.evidence["patchmap.overrides"] =
-        static_cast<double>(plan.patchBackends.size());
-  }
 
   obs::count("tune.plans");
   obs::gaugeSet("tune.backend", backendGaugeValue(plan.backend));
@@ -466,27 +429,10 @@ void apply(const TuningPlan& plan, runtime::HaloMode& mode) {
                 plan.haloMode == runtime::HaloMode::Overlap ? 1 : 0);
 }
 
-void apply(const TuningPlan& plan, KernelVariant& variant) {
-  // Uncatalogued names (newer plan files) keep the caller's current value.
-  if (find_backend_info(plan.backend))
-    variant = kernel_variant_from_name(plan.backend);
-  obs::count("tune.plan.applied");
-  obs::gaugeSet("tune.backend", backendGaugeValue(plan.backend));
-}
-
 void apply(const TuningPlan& plan, std::string& backend) {
   if (find_backend_info(plan.backend)) backend = plan.backend;
   obs::count("tune.plan.applied");
   obs::gaugeSet("tune.backend", backendGaugeValue(plan.backend));
-}
-
-void apply(const TuningPlan& plan, std::map<int, std::string>& patchBackends) {
-  patchBackends.clear();
-  for (const auto& [id, name] : plan.patchBackends)
-    if (find_backend_info(name)) patchBackends[id] = name;
-  obs::count("tune.plan.applied");
-  obs::gaugeSet("tune.patch_backends",
-                static_cast<double>(patchBackends.size()));
 }
 
 void apply(const TuningPlan& plan, coll::CollConfig& cfg) {
@@ -507,7 +453,6 @@ std::string summary(const TuningPlan& plan) {
   os << "halo=" << halo_mode_name(plan.haloMode)
      << " ring_threshold=" << plan.ringThresholdBytes << "B"
      << " chunk_x=" << plan.chunkX << " backend=" << plan.backend
-     << " patch_overrides=" << plan.patchBackends.size()
      << " patches_per_rank=" << plan.patchesPerRank
      << " precision=" << plan.precision << " source=" << plan.source;
   return os.str();

@@ -24,7 +24,6 @@
 #pragma once
 
 #include "coll/coll.hpp"
-#include "core/solver.hpp"
 #include "sw/spec.hpp"
 #include "sw/sw_kernels.hpp"
 #include "tune/cache.hpp"
@@ -40,13 +39,6 @@ struct TuningInput {
   int ranks = 1;                  ///< world size (>= 1)
   std::string precision = "f64";  ///< storage tag: "f64" | "f32" | "f16"
   sw::MachineSpec machine = sw::MachineSpec::sw26010();
-  /// Interior cell count per patch (index = patch id) when the run uses
-  /// the patch-aware runtime.  Non-empty + backendTrialSteps > 0 makes
-  /// the tuner emit a per-patch backend map: measured backend rates and
-  /// the catalog's stepOverheadSeconds predict each patch's step time,
-  /// and the argmin backend is recorded per patch
-  /// (TuningPlan::patchBackends).  Empty skips the map.
-  std::vector<double> patchCells;
 
   TuningKey key() const { return {lattice, extent, ranks, precision}; }
 };
@@ -69,7 +61,7 @@ struct TunerConfig {
   /// shrunk proxy domain instead of the full one.
   std::size_t trialCellsPerRank = 32768;
   /// Steps per wall-clock backend trial (the registry ladder — fused,
-  /// esoteric, threads — on a single-rank proxy).  0 (default)
+  /// esoteric — on a single-rank proxy).  0 (default)
   /// skips the ladder and keeps the plan's "fused" default — and the
   /// search byte-deterministic.
   int backendTrialSteps = 0;
@@ -111,18 +103,11 @@ class Tuner {
 
 /// DistributedSolver: halo scheduling (write into Config::mode).
 void apply(const TuningPlan& plan, runtime::HaloMode& mode);
-/// Solver/DistributedSolver: stream/collide backend by enum.  Names that
-/// are not catalogued (newer plan files) keep the current value (forward
-/// compatibility).
-void apply(const TuningPlan& plan, KernelVariant& variant);
-/// Same knob by registry name (Solver::setBackend / Config::backend /
-/// PatchSolver::Config::backend).  Uncatalogued names keep the current
-/// value.
+/// Stream/collide backend by registry name (Solver::setBackend /
+/// DistributedSolver::Config::backend / PatchSolver::Config::backend).
+/// Names that are not catalogued (newer plan files) keep the current
+/// value (forward compatibility).
 void apply(const TuningPlan& plan, std::string& backend);
-/// PatchSolver: the per-patch backend map (Config::patchBackends).
-/// Entries whose backend name is not catalogued are dropped; catalogued
-/// entries overwrite the map wholesale.
-void apply(const TuningPlan& plan, std::map<int, std::string>& patchBackends);
 /// coll::Collectives: ring/tree size threshold.
 void apply(const TuningPlan& plan, coll::CollConfig& cfg);
 /// sw kernels: LDM chunk width (clamped to >= 1).

@@ -155,12 +155,6 @@ void runLockstep(const Scenario& sc, const std::string& name, int steps,
   }
 }
 
-template <class D, class SREF, class SSUT>
-void runLockstep(const Scenario& sc, KernelVariant variant, int steps,
-                 double tol) {
-  runLockstep<D, SREF, SSUT>(sc, kernel_variant_name(variant), steps, tol);
-}
-
 /// Closed-box mass conservation: total fluid mass after `steps` equals the
 /// initial mass to within accumulated f64 rounding.
 template <class D, class S>
@@ -174,12 +168,6 @@ void expectMassConserved(const Scenario& sc, const std::string& name,
   const Real m0 = s.totalMass();
   for (int i = 0; i < steps; ++i) s.step();
   EXPECT_NEAR(s.totalMass() / m0, 1.0, 1e-12);
-}
-
-template <class D, class S>
-void expectMassConserved(const Scenario& sc, KernelVariant variant,
-                         int steps) {
-  expectMassConserved<D, S>(sc, kernel_variant_name(variant), steps);
 }
 
 /// Registry-driven conformance: run every backend registered for (D, S)

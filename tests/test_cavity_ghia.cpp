@@ -46,7 +46,7 @@ Real interpolate(const std::vector<Real>& profile, Real frac) {
 /// cannot meet the f64 run's 1e-8 criterion.
 template <class S>
 void runGhiaComparison(Real tol, Real probeTol,
-                       KernelVariant variant = KernelVariant::Fused) {
+                       const char* backend = "fused") {
   const int n = 64;
   const Real uLid = 0.1;
   const Real re = 100.0;
@@ -59,7 +59,7 @@ void runGhiaComparison(Real tol, Real probeTol,
   // of side H = n (walls at -0.5 and n - 0.5 in both axes).
   Solver<D2Q9, S> solver(Grid(n, n + 1, 1), cfg,
                          Periodicity{false, false, true});
-  solver.setVariant(variant);
+  solver.setBackend(backend);
   const auto lid = solver.materials().addMovingWall({uLid, 0, 0});
   solver.paint({{0, n, 0}, {n, n + 1, 1}}, lid);
   solver.finalizeMask();
@@ -121,7 +121,7 @@ TEST(GhiaCavity, Re100F32StorageMatchesReferenceWithinLooserTolerance) {
 // reduced-precision soak; it also proves the odd-phase macroscopic
 // accessors on a real benchmark.
 TEST(GhiaCavity, Re100EsotericKernelMatchesReference) {
-  runGhiaComparison<float>(0.04, 1e-6, KernelVariant::Esoteric);
+  runGhiaComparison<float>(0.04, 1e-6, "esoteric");
 }
 
 }  // namespace

@@ -150,12 +150,13 @@ TEST(DistributedPeriodic, FullyPeriodicMatchesReference) {
   });
 }
 
-// The thread-team and esoteric kernels must stay bit-identical to the
-// fused single-rank reference when the domain is split across 4 ranks:
-// the team in both halo schedules (the fused kernel's bulk/boundary row
+// Two host threads per rank must stay bit-identical to the fused
+// single-rank reference when the domain is split across 4 ranks: fused
+// in both halo schedules (the executor slices the inner box and every
+// shell box into z-slabs, and the fused kernel's bulk/boundary row
 // segmentation interacts with the inner/shell split), esoteric through
-// the forward+reverse halo exchange pair.  An even step count returns the esoteric field to natural layout
-// before the gather.
+// the forward+reverse halo exchange pair.  An even step count returns
+// the esoteric field to natural layout before the gather.
 TEST(DistributedKernelVariants, FourRankBitIdentityToFusedReference) {
   const Int3 global{12, 12, 4};
   const int steps = 10;
@@ -177,14 +178,14 @@ TEST(DistributedKernelVariants, FourRankBitIdentityToFusedReference) {
   ref.run(steps);
 
   struct Case {
-    KernelVariant variant;
+    const char* backend;
     HaloMode mode;
   };
-  const Case cases[] = {{KernelVariant::Threads, HaloMode::Sequential},
-                        {KernelVariant::Threads, HaloMode::Overlap},
-                        {KernelVariant::Esoteric, HaloMode::Sequential}};
+  const Case cases[] = {{"fused", HaloMode::Sequential},
+                        {"fused", HaloMode::Overlap},
+                        {"esoteric", HaloMode::Sequential}};
   for (const Case& tc : cases) {
-    SCOPED_TRACE(std::string(kernel_variant_name(tc.variant)) + "/" +
+    SCOPED_TRACE(std::string(tc.backend) + "/" +
                  (tc.mode == HaloMode::Overlap ? "overlap" : "sequential"));
     World world(4);
     world.run([&](Comm& c) {
@@ -193,7 +194,8 @@ TEST(DistributedKernelVariants, FourRankBitIdentityToFusedReference) {
       cfg.collision = col;
       cfg.periodic = per;
       cfg.mode = tc.mode;
-      cfg.variant = tc.variant;
+      cfg.backend = tc.backend;
+      cfg.hostThreads = 2;
       cfg.procGrid = {2, 2, 1};
       DistributedSolver<D3Q19> solver(c, cfg);
       solver.finalizeMask();
@@ -378,8 +380,8 @@ TEST(DistributedSolverApi, RejectsMismatchedProcessGrid) {
 
 TEST(DistributedSolverApi, RejectsNonDistributedBackends) {
   // twostep and push advertise caps.distributed = false (their streaming
-  // traffic isn't compatible with the one-layer halo contract).  The old
-  // KernelVariant switch silently fell back to fused here; the backend
+  // traffic isn't compatible with the one-layer halo contract).  A
+  // per-variant switch once silently fell back to fused here; the backend
   // layer must refuse instead.
   for (const char* name : {"twostep", "push"}) {
     SCOPED_TRACE(name);
@@ -408,52 +410,6 @@ TEST(DistributedSolverApi, SubRangeLessBackendForcesSequentialHalo) {
     DistributedSolver<D2Q9> solver(c, cfg);
     EXPECT_EQ(solver.haloMode(), HaloMode::Sequential);
     EXPECT_EQ(solver.backendName(), "swcpe");
-  });
-}
-
-TEST(DistributedKernelVariants, ThreadsBackendMatchesFusedAcrossRanks) {
-  // Mixed parallelism: 2 ranks x thread-team backend inside each rank
-  // must still reproduce the single-block fused trajectory bit-for-bit.
-  const Int3 global{10, 8, 4};
-  const int steps = 6;
-  CollisionConfig col;
-  col.omega = 1.4;
-  const Periodicity per{true, true, true};
-  Solver<D3Q19> ref(Grid(global.x, global.y, global.z), col, per);
-  ref.finalizeMask();
-  auto init = [&](int x, int y, int z, Real& rho, Vec3& u) {
-    const int gx = ((x % global.x) + global.x) % global.x;
-    const int gy = ((y % global.y) + global.y) % global.y;
-    const int gz = ((z % global.z) + global.z) % global.z;
-    rho = 1.0 + 0.01 * std::sin(0.6 * gx) * std::cos(0.4 * gy + 0.2 * gz);
-    u = {0.015 * std::cos(0.5 * gy), 0.01 * std::sin(0.3 * gx), 0.005};
-  };
-  ref.initField(init);
-  ref.run(steps);
-
-  World world(2);
-  world.run([&](Comm& c) {
-    typename DistributedSolver<D3Q19>::Config cfg;
-    cfg.global = global;
-    cfg.collision = col;
-    cfg.periodic = per;
-    cfg.backend = "threads";
-    cfg.hostThreads = 2;
-    cfg.procGrid = {2, 1, 1};
-    DistributedSolver<D3Q19> solver(c, cfg);
-    solver.finalizeMask();
-    solver.initField(init);
-    solver.run(steps);
-    PopulationField gathered = solver.gatherPopulations(0);
-    if (c.rank() == 0) {
-      long long bad = 0;
-      for (int q = 0; q < D3Q19::Q; ++q)
-        for (int z = 0; z < global.z; ++z)
-          for (int y = 0; y < global.y; ++y)
-            for (int x = 0; x < global.x; ++x)
-              if (gathered(q, x, y, z) != ref.f()(q, x, y, z)) ++bad;
-      EXPECT_EQ(bad, 0);
-    }
   });
 }
 

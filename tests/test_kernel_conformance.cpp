@@ -119,29 +119,25 @@ constexpr int kSteps = 6;  // even: Esoteric ends in natural layout
 // physics, but not a step-synchronous trajectory.  It is covered by the
 // invariant tests below instead (test_kernels.cpp likewise checks it via
 // conservation only).
-const KernelVariant kTwoLattice[] = {KernelVariant::Generic,
-                                     KernelVariant::Threads,
-                                     KernelVariant::TwoStep};
+const char* const kTwoLattice[] = {"generic", "twostep"};
 
 // ---- f64 bit-identity: every variant, every scenario, both lattices ----
 
 TEST(KernelConformance, BitIdentityF64_D3Q19) {
   for (const Scenario& sc : scenarios3DWithLongRows()) {
-    for (KernelVariant v : kTwoLattice)
-      runLockstep<D3Q19, double, double>(sc, v, kSteps, 0);
+    for (const char* name : kTwoLattice)
+      runLockstep<D3Q19, double, double>(sc, name, kSteps, 0);
     if (!sc.hasOutflow)
-      runLockstep<D3Q19, double, double>(sc, KernelVariant::Esoteric, kSteps,
-                                         0);
+      runLockstep<D3Q19, double, double>(sc, "esoteric", kSteps, 0);
   }
 }
 
 TEST(KernelConformance, BitIdentityF64_D2Q9) {
   for (const Scenario& sc : scenarios(true)) {
-    for (KernelVariant v : kTwoLattice)
-      runLockstep<D2Q9, double, double>(sc, v, kSteps, 0);
+    for (const char* name : kTwoLattice)
+      runLockstep<D2Q9, double, double>(sc, name, kSteps, 0);
     if (!sc.hasOutflow)
-      runLockstep<D2Q9, double, double>(sc, KernelVariant::Esoteric, kSteps,
-                                        0);
+      runLockstep<D2Q9, double, double>(sc, "esoteric", kSteps, 0);
   }
 }
 
@@ -151,19 +147,17 @@ TEST(KernelConformance, BitIdentityF64_D2Q9) {
 
 TEST(KernelConformance, BitIdentitySameStorageF32) {
   for (const Scenario& sc : scenarios3DWithLongRows()) {
-    runLockstep<D3Q19, float, float>(sc, KernelVariant::Generic, kSteps, 0);
-    runLockstep<D3Q19, float, float>(sc, KernelVariant::Threads, kSteps, 0);
+    runLockstep<D3Q19, float, float>(sc, "generic", kSteps, 0);
     if (!sc.hasOutflow)
-      runLockstep<D3Q19, float, float>(sc, KernelVariant::Esoteric, kSteps, 0);
+      runLockstep<D3Q19, float, float>(sc, "esoteric", kSteps, 0);
   }
 }
 
 TEST(KernelConformance, BitIdentitySameStorageF16) {
   for (const Scenario& sc : scenarios3DWithLongRows()) {
-    runLockstep<D3Q19, f16, f16>(sc, KernelVariant::Generic, kSteps, 0);
-    runLockstep<D3Q19, f16, f16>(sc, KernelVariant::Threads, kSteps, 0);
+    runLockstep<D3Q19, f16, f16>(sc, "generic", kSteps, 0);
     if (!sc.hasOutflow)
-      runLockstep<D3Q19, f16, f16>(sc, KernelVariant::Esoteric, kSteps, 0);
+      runLockstep<D3Q19, f16, f16>(sc, "esoteric", kSteps, 0);
   }
 }
 
@@ -176,20 +170,18 @@ TEST(KernelConformance, BitIdentitySameStorageF16) {
 TEST(KernelConformance, QuantizationBoundF32) {
   const double tol = 64.0 * StorageTraits<float>::kEpsilon * kSteps;
   for (const Scenario& sc : scenarios(false)) {
-    runLockstep<D3Q19, double, float>(sc, KernelVariant::Fused, kSteps, tol);
+    runLockstep<D3Q19, double, float>(sc, "fused", kSteps, tol);
     if (!sc.hasOutflow)
-      runLockstep<D3Q19, double, float>(sc, KernelVariant::Esoteric, kSteps,
-                                        tol);
+      runLockstep<D3Q19, double, float>(sc, "esoteric", kSteps, tol);
   }
 }
 
 TEST(KernelConformance, QuantizationBoundF16) {
   const double tol = 64.0 * StorageTraits<f16>::kEpsilon * kSteps;
   for (const Scenario& sc : scenarios(false)) {
-    runLockstep<D3Q19, double, f16>(sc, KernelVariant::Fused, kSteps, tol);
+    runLockstep<D3Q19, double, f16>(sc, "fused", kSteps, tol);
     if (!sc.hasOutflow)
-      runLockstep<D3Q19, double, f16>(sc, KernelVariant::Esoteric, kSteps,
-                                      tol);
+      runLockstep<D3Q19, double, f16>(sc, "esoteric", kSteps, tol);
   }
 }
 
@@ -204,9 +196,8 @@ TEST(KernelConformance, MassConservedClosedBox) {
                       mask(3, 2, z) = MaterialTable::kSolid;
                   },
                   false};
-  for (KernelVariant v :
-       {KernelVariant::Fused, KernelVariant::Esoteric, KernelVariant::Push})
-    expectMassConserved<D3Q19, double>(closed, v, 7);
+  for (const char* name : {"fused", "esoteric", "push"})
+    expectMassConserved<D3Q19, double>(closed, name, 7);
 }
 
 TEST(KernelConformance, RestStateFixedPoint) {
@@ -216,9 +207,9 @@ TEST(KernelConformance, RestStateFixedPoint) {
   // bounce-back defect shows up as an O(f) error, 12+ orders larger).
   Scenario box{"rest_box", {5, 5, 3}, Periodicity{false, false, false},
                nullptr, false};
-  for (KernelVariant v : {KernelVariant::Fused, KernelVariant::Esoteric}) {
+  for (const char* name : {"fused", "esoteric"}) {
     Solver<D3Q19, double> s = makeSolver<D3Q19, double>(box);
-    s.setVariant(v);
+    s.setBackend(name);
     s.finalizeMask();
     s.initUniform(1.0, {0, 0, 0});
     Real feq[D3Q19::Q];
@@ -229,33 +220,8 @@ TEST(KernelConformance, RestStateFixedPoint) {
         for (int x = 0; x < 5; ++x)
           for (int i = 0; i < D3Q19::Q; ++i)
             ASSERT_NEAR(s.population(i, x, y, z), feq[i], 5e-14)
-                << kernel_variant_name(v) << " at i=" << i << " (" << x << ","
+                << name << " at i=" << i << " (" << x << ","
                 << y << "," << z << ")";
-  }
-}
-
-TEST(KernelConformance, ThreadCountParity) {
-  // The mt drivers split z-slabs; any thread count must be bit-identical.
-  for (int threads : {2, 3}) {
-    for (KernelVariant v : {KernelVariant::Fused, KernelVariant::Esoteric}) {
-      Scenario sc = scenarios(false)[1];  // solid_obstacle
-      Solver<D3Q19, double> a = makeSolver<D3Q19, double>(sc);
-      Solver<D3Q19, double> b = makeSolver<D3Q19, double>(sc);
-      a.setVariant(v);
-      b.setVariant(v);
-      b.setHostThreads(threads);
-      a.finalizeMask();
-      b.finalizeMask();
-      initSmooth(a);
-      initSmooth(b);
-      for (int s = 0; s < 4; ++s) {
-        a.step();
-        b.step();
-      }
-      expectEquivalent<D3Q19>(a, b, 0,
-                              std::string(kernel_variant_name(v)) + " mt=" +
-                                  std::to_string(threads));
-    }
   }
 }
 
@@ -290,8 +256,8 @@ TEST(KernelConformance, OperatorsBitIdenticalF16) {
 // Everything registered for a (lattice, storage) pair is held to exactly
 // what its capability flags promise; a backend added to the registry is
 // covered with no test edits, and one whose flags overpromise fails here.
-// This sweep is what pins "threads" and "swcpe" — the hand-written lists
-// above predate the registry and keep the narrow bounds documented.
+// This sweep is what pins "swcpe" — the hand-written lists above predate
+// the registry and keep the narrow bounds documented.
 
 TEST(KernelConformance, RegisteredBackendsConformD3Q19) {
   for (const conformance::Operator& op : conformance::collisionOperators())
@@ -305,31 +271,54 @@ TEST(KernelConformance, RegisteredBackendsConformD2Q9) {
     conformance::runRegisteredBackends<D2Q9, double>(sc, kSteps);
 }
 
-TEST(KernelConformance, ThreadsBackendBitIdenticalAtAnyTeamSize) {
-  // The thread-team backend splits the same z-slabs as the fused mt
-  // driver, so every team size — serial fallback (1), a small team (2),
-  // and one lane per hardware core (0 resolves to hardware_concurrency)
-  // — must be bit-identical to single-thread fused.
-  for (int threads : {1, 2, 0}) {
-    for (const Scenario& sc : scenarios(false)) {
-      SCOPED_TRACE("team=" + std::to_string(threads));
-      Solver<D3Q19, double> ref = makeSolver<D3Q19, double>(sc);
-      Solver<D3Q19, double> sut = makeSolver<D3Q19, double>(sc);
-      sut.setBackend("threads");
-      sut.setHostThreads(threads);
-      ref.finalizeMask();
-      sut.finalizeMask();
-      initSmooth(ref);
-      initSmooth(sut);
-      for (int s = 0; s < 4; ++s) {
-        ref.step();
-        sut.step();
+// ---- host-thread parity -------------------------------------------------
+// The executor slices every caps.subRange backend into team_slab z-slabs;
+// whatever the lane count (2, 3, and 0 = one per hardware core), each
+// backend must stay bitwise equal to itself at one lane, at every
+// storage type.  Registry-driven, so a new sub-range backend is covered
+// with no test edits.
+
+template <class S>
+void expectThreadCountParity() {
+  for (const std::string& name : backend_names<D3Q19, S>()) {
+    const BackendInfo& info = *find_backend_info(name);
+    if (!info.caps.subRange) continue;
+    for (int lanes : {2, 3, 0}) {
+      for (const Scenario& sc : scenarios3DWithLongRows()) {
+        if (sc.hasOutflow && !info.caps.supportsOutflow) continue;
+        SCOPED_TRACE(sc.name + "/" + name + "/" + StorageTraits<S>::name() +
+                     " lanes=" + std::to_string(lanes));
+        Solver<D3Q19, S> one = makeSolver<D3Q19, S>(sc);
+        Solver<D3Q19, S> many = makeSolver<D3Q19, S>(sc);
+        one.setBackend(name);
+        many.setBackend(name);
+        many.setHostThreads(lanes);
+        one.finalizeMask();
+        many.finalizeMask();
+        initSmooth(one);
+        initSmooth(many);
+        for (int s = 0; s < kSteps; ++s) {
+          one.step();
+          many.step();
+          expectEquivalent<D3Q19>(one, many, 0,
+                                  "step " + std::to_string(s + 1));
+          if (::testing::Test::HasFailure()) return;
+        }
       }
-      expectEquivalent<D3Q19>(ref, sut, 0,
-                              sc.name + "/threads team=" +
-                                  std::to_string(threads));
     }
   }
+}
+
+TEST(KernelConformance, ThreadCountParityF64) {
+  expectThreadCountParity<double>();
+}
+
+TEST(KernelConformance, ThreadCountParityF32) {
+  expectThreadCountParity<float>();
+}
+
+TEST(KernelConformance, ThreadCountParityF16) {
+  expectThreadCountParity<f16>();
 }
 
 // ---- explicit capability rejection (no silent fallbacks) ---------------
@@ -377,7 +366,7 @@ TEST(KernelConformance, CatalogAndRegistryAgree) {
 TEST(KernelConformance, EsotericRejectsOutflow) {
   Scenario sc = scenarios(false)[5];  // inlet_outflow
   Solver<D3Q19, double> s = makeSolver<D3Q19, double>(sc);
-  s.setVariant(KernelVariant::Esoteric);
+  s.setBackend("esoteric");
   EXPECT_THROW(s.finalizeMask(), Error);
 }
 
@@ -385,7 +374,7 @@ TEST(KernelConformance, EsotericHalvesPopulationMemory) {
   Scenario sc = scenarios(false)[0];
   Solver<D3Q19, double> two = makeSolver<D3Q19, double>(sc);
   Solver<D3Q19, double> one = makeSolver<D3Q19, double>(sc);
-  one.setVariant(KernelVariant::Esoteric);
+  one.setBackend("esoteric");
   EXPECT_EQ(one.populationBytes() * 2, two.populationBytes());
 }
 

@@ -82,7 +82,8 @@ void expectPatchRunMatchesMonolithic(const Scenario& sc, int ranks,
                                      std::uint64_t rebalanceEvery = 0,
                                      const std::string& backend = "fused",
                                      std::map<int, std::string>
-                                         patchBackends = {}) {
+                                         patchBackends = {},
+                                     int hostThreads = 1) {
   SCOPED_TRACE(sc.name + " ranks=" + std::to_string(ranks) + " patches=" +
                std::to_string(patchGrid.x) + "x" +
                std::to_string(patchGrid.y));
@@ -99,6 +100,7 @@ void expectPatchRunMatchesMonolithic(const Scenario& sc, int ranks,
     cfg.rebalanceThreshold = 1.0001;  // hair trigger for the measured path
     cfg.backend = backend;
     cfg.patchBackends = patchBackends;
+    cfg.hostThreads = hostThreads;
     PatchSolver<D3Q19> solver(c, cfg);
     const Grid g(sc.extent.x, sc.extent.y, sc.extent.z);
     if (sc.paint) sc.paint(solver.globalMask(), solver.materials(), g);
@@ -359,17 +361,19 @@ TEST(PatchSolver, FluidWeightedAssignmentSkipsSolidHeavyImbalance) {
 // ---- per-patch backend plans -------------------------------------------
 
 TEST(PatchSolver, HeterogeneousPatchBackendsMatchMonolithic) {
-  // The tuner's mixed plan: default generic with per-patch overrides to
-  // fused, threads, and swcpe.  All four are bit-identical kernels, so a
-  // heterogeneous run must still match the monolithic fused reference
-  // exactly — including across patch faces where the sender's backend
-  // packs the strip and a *different* receiver backend unpacks it, and
-  // across a forced migration that rebuilds a patch's backend on its new
-  // owner from the replicated plan.
-  std::map<int, std::string> plan{{0, "fused"}, {2, "threads"}, {3, "swcpe"}};
+  // A user-set mixed plan: default generic with per-patch overrides to
+  // fused and swcpe, two host threads per rank.  All three are
+  // bit-identical kernels, so a heterogeneous run must still match the
+  // monolithic fused reference exactly — including across patch faces
+  // where the sender's backend packs the strip and a *different* receiver
+  // backend unpacks it, across the executor's z-slab split of the
+  // sub-range patches (swcpe gets one whole-block call), and across a
+  // forced migration that rebuilds a patch's backend on its new owner
+  // from the replicated plan.
+  std::map<int, std::string> plan{{0, "fused"}, {3, "swcpe"}};
   for (const Scenario& sc : patchScenarios())
     expectPatchRunMatchesMonolithic(sc, 2, {2, 2, 1}, 6, /*migrateAt=*/3, 0,
-                                    "generic", plan);
+                                    "generic", plan, /*hostThreads=*/2);
 }
 
 TEST(PatchSolver, PatchBackendNameResolvesOverrides) {
@@ -379,11 +383,11 @@ TEST(PatchSolver, PatchBackendNameResolvesOverrides) {
     cfg.global = {8, 8, 2};
     cfg.patchGrid = {2, 2, 1};
     cfg.backend = "generic";
-    cfg.patchBackends = {{1, "threads"}};
+    cfg.patchBackends = {{1, "fused"}};
     PatchSolver<D3Q19> solver(c, cfg);
     solver.finalizeMask();
     EXPECT_EQ(solver.patchBackendName(0), "generic");
-    EXPECT_EQ(solver.patchBackendName(1), "threads");
+    EXPECT_EQ(solver.patchBackendName(1), "fused");
   });
 }
 

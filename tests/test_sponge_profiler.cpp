@@ -4,9 +4,9 @@
 #include <cmath>
 #include <thread>
 
-#include "core/profiler.hpp"
 #include "core/solver.hpp"
 #include "core/sponge.hpp"
+#include "obs/step_profiler.hpp"
 
 namespace swlb {
 namespace {

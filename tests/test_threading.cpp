@@ -1,8 +1,12 @@
-// Host-thread parallel fused kernel: disjoint z-slab writes make any
-// thread count bit-identical to the serial kernel.
+// Host-thread executor (core/kernels_team.hpp): disjoint z-slab writes
+// make any thread count bit-identical to the serial kernel.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <mutex>
+#include <thread>
+#include <vector>
 
 #include "core/solver.hpp"
 
@@ -41,47 +45,97 @@ INSTANTIATE_TEST_SUITE_P(Threads, ThreadCountSweep, ::testing::Values(2, 3, 4, 1
                            return "t" + std::to_string(info.param);
                          });
 
-TEST(Threading, MoreThreadsThanSlabsStillCorrect) {
-  // nz = 2 with 8 threads: the kernel clamps the thread count.
-  CollisionConfig cfg;
-  cfg.omega = 1.2;
-  Grid g(8, 8, 2);
-  MaskField mask(g, MaterialTable::kFluid);
+TEST(Threading, ExecutorSlabsPartitionTheRange) {
+  // Whatever the lane request, the executor runs min(resolved lanes, nz)
+  // disjoint z-slabs that exactly cover the range (x/y untouched).
+  const unsigned hw = std::thread::hardware_concurrency();
+  EXPECT_EQ(resolve_host_threads(0), hw > 0 ? static_cast<int>(hw) : 1);
+  for (int threads : {1, 2, 3, 0, 64}) {
+    for (int nz : {1, 2, 5, 9}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " nz=" + std::to_string(nz));
+      const Box3 range{{1, 2, 3}, {6, 4, 3 + nz}};
+      std::mutex mu;
+      std::vector<Box3> slabs;
+      run_slabs(range, threads, [&](const Box3& slab) {
+        std::lock_guard<std::mutex> lock(mu);
+        slabs.push_back(slab);
+      });
+      const int lanes = std::min(resolve_host_threads(threads), nz);
+      ASSERT_EQ(static_cast<int>(slabs.size()), lanes);
+      std::sort(slabs.begin(), slabs.end(), [](const Box3& a, const Box3& b) {
+        return a.lo.z < b.lo.z;
+      });
+      int z = range.lo.z;
+      for (const Box3& slab : slabs) {
+        EXPECT_EQ(slab.lo.x, range.lo.x);
+        EXPECT_EQ(slab.hi.x, range.hi.x);
+        EXPECT_EQ(slab.lo.y, range.lo.y);
+        EXPECT_EQ(slab.hi.y, range.hi.y);
+        EXPECT_EQ(slab.lo.z, z);  // no gap, no overlap
+        EXPECT_GT(slab.hi.z, slab.lo.z);
+        z = slab.hi.z;
+      }
+      EXPECT_EQ(z, range.hi.z);
+    }
+  }
+}
+
+/// A periodic D3Q19 block at equilibrium with a fused backend, for the
+/// backend-level executor tests below.
+struct FusedBlock {
+  explicit FusedBlock(const Grid& g)
+      : grid(g),
+        mask(g, MaterialTable::kFluid),
+        src(g, D3Q19::Q),
+        backend(make_backend<D3Q19, Real>("fused")) {
+    fill_halo_mask(mask, Periodicity{true, true, true}, MaterialTable::kSolid);
+    Real feq[D3Q19::Q];
+    equilibria<D3Q19>(1.0, {0.02, -0.01, 0}, feq);
+    for (int q = 0; q < D3Q19::Q; ++q)
+      for (int z = -1; z <= g.nz; ++z)
+        for (int y = -1; y <= g.ny; ++y)
+          for (int x = -1; x <= g.nx; ++x) src(q, x, y, z) = feq[q];
+    cfg.omega = 1.2;
+  }
+  void run(PopulationField& dst, const Box3& range, int threads) {
+    BackendStepArgs<D3Q19, Real> args;
+    args.src = &src;
+    args.dst = &dst;
+    args.mask = &mask;
+    args.mats = &mats;
+    args.cfg = &cfg;
+    args.range = range;
+    backend->run(args, threads);
+  }
+
+  Grid grid;
+  MaskField mask;
   MaterialTable mats;
-  fill_halo_mask(mask, Periodicity{true, true, true}, MaterialTable::kSolid);
-  PopulationField src(g, D3Q19::Q), a(g, D3Q19::Q), b(g, D3Q19::Q);
-  Real feq[D3Q19::Q];
-  equilibria<D3Q19>(1.0, {0.02, -0.01, 0}, feq);
-  for (int q = 0; q < D3Q19::Q; ++q)
-    for (int z = -1; z <= 2; ++z)
-      for (int y = -1; y <= 8; ++y)
-        for (int x = -1; x <= 8; ++x) src(q, x, y, z) = feq[q];
-  stream_collide_fused<D3Q19>(src, a, mask, mats, cfg, g.interior());
-  stream_collide_fused_mt<D3Q19>(src, b, mask, mats, cfg, g.interior(), 8);
+  CollisionConfig cfg;
+  PopulationField src;
+  std::unique_ptr<KernelBackend<D3Q19, Real>> backend;
+};
+
+TEST(Threading, MoreThreadsThanSlabsStillCorrect) {
+  // nz = 2 with 8 threads: the executor clamps the lane count.
+  FusedBlock block(Grid(8, 8, 2));
+  PopulationField a(block.grid, D3Q19::Q), b(block.grid, D3Q19::Q);
+  block.run(a, block.grid.interior(), 1);
+  block.run(b, block.grid.interior(), 8);
   for (std::size_t i = 0; i < a.size(); ++i)
     ASSERT_EQ(a.data()[i], b.data()[i]);
 }
 
 TEST(Threading, SubRangeDispatchRespectsBounds) {
   // A partial z-range with threads must only write that range.
-  Grid g(6, 6, 8);
-  MaskField mask(g, MaterialTable::kFluid);
-  MaterialTable mats;
-  fill_halo_mask(mask, Periodicity{true, true, true}, MaterialTable::kSolid);
-  PopulationField src(g, D3Q19::Q), dst(g, D3Q19::Q);
-  Real feq[D3Q19::Q];
-  equilibria<D3Q19>(1.0, {0.01, 0, 0}, feq);
-  for (int q = 0; q < D3Q19::Q; ++q)
-    for (int z = -1; z <= 8; ++z)
-      for (int y = -1; y <= 6; ++y)
-        for (int x = -1; x <= 6; ++x) src(q, x, y, z) = feq[q];
+  FusedBlock block(Grid(6, 6, 8));
+  PopulationField dst(block.grid, D3Q19::Q);
   dst.fill(-7.0);  // sentinel
-  CollisionConfig cfg;
-  cfg.omega = 1.0;
-  Box3 range = g.interior();
+  Box3 range = block.grid.interior();
   range.lo.z = 2;
   range.hi.z = 6;
-  stream_collide_fused_mt<D3Q19>(src, dst, mask, mats, cfg, range, 3);
+  block.run(dst, range, 3);
   EXPECT_EQ(dst(0, 3, 3, 1), -7.0);  // untouched below
   EXPECT_EQ(dst(0, 3, 3, 6), -7.0);  // untouched above
   EXPECT_NE(dst(0, 3, 3, 3), -7.0);  // written inside

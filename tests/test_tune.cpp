@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "core/backend.hpp"
 #include "obs/context.hpp"
 #include "obs/metrics.hpp"
 #include "perf/network.hpp"
@@ -54,7 +55,6 @@ TEST(Tuner, PlanRespectsKnobRanges) {
   // Without backend trials the model has no evidence to deviate from the
   // production default.
   EXPECT_EQ(p.backend, "fused");
-  EXPECT_TRUE(p.patchBackends.empty());
   // The emulator ladder left its evidence behind (auditable plans).
   EXPECT_NE(p.evidence.count("model.halo.fraction"), 0u);
   EXPECT_NE(p.evidence.count("model.coll.crossover_bytes"), 0u);
@@ -98,38 +98,20 @@ TEST(Tuner, AppliesPlanToSubsystemConfigs) {
 
 TEST(Tuner, AppliesBackendToSolverKnobs) {
   TuningPlan p = Tuner().plan(cavityInput());
-  KernelVariant v = KernelVariant::Generic;
-  apply(p, v);  // "fused" plan overrides whatever the caller had
-  EXPECT_EQ(v, KernelVariant::Fused);
-  p.backend = "esoteric";
-  apply(p, v);
-  EXPECT_EQ(v, KernelVariant::Esoteric);
-  p.backend = "threads";
-  apply(p, v);
-  EXPECT_EQ(v, KernelVariant::Threads);
   // The registry-name overload drives the string-typed configs.  (Qualified
   // calls: a std::string argument would otherwise drag std::apply into the
   // ADL overload set, which hard-errors on non-tuple arguments.)
   std::string name = "generic";
+  swlb::tune::apply(p, name);  // "fused" plan overrides the caller's value
+  EXPECT_EQ(name, "fused");
+  p.backend = "esoteric";
   swlb::tune::apply(p, name);
-  EXPECT_EQ(name, "threads");
+  EXPECT_EQ(name, "esoteric");
   // Uncatalogued names (from a newer cache schema) leave the caller's
-  // values untouched.
+  // value untouched.
   p.backend = "warp-speculative";
-  apply(p, v);
   swlb::tune::apply(p, name);
-  EXPECT_EQ(v, KernelVariant::Threads);
-  EXPECT_EQ(name, "threads");
-}
-
-TEST(Tuner, AppliesPatchBackendMap) {
-  TuningPlan p = Tuner().plan(cavityInput());
-  p.patchBackends = {{0, "generic"}, {3, "threads"}, {5, "warp-speculative"}};
-  std::map<int, std::string> m = {{9, "stale"}};
-  swlb::tune::apply(p, m);
-  // Catalogued entries replace the map wholesale; unknown names drop.
-  const std::map<int, std::string> want = {{0, "generic"}, {3, "threads"}};
-  EXPECT_EQ(m, want);
+  EXPECT_EQ(name, "esoteric");
 }
 
 TEST(Tuner, BackendTrialsPickFromMeasuredLadder) {
@@ -144,27 +126,6 @@ TEST(Tuner, BackendTrialsPickFromMeasuredLadder) {
   // The trial ladder leaves auditable MLUPS evidence for every rung.
   EXPECT_NE(p.evidence.count("trial.backend.fused_mlups"), 0u);
   EXPECT_NE(p.evidence.count("trial.backend.esoteric_mlups"), 0u);
-  EXPECT_NE(p.evidence.count("trial.backend.threads_mlups"), 0u);
-}
-
-TEST(Tuner, PatchCellsYieldPerPatchBackendMap) {
-  TunerConfig cfg;
-  cfg.backendTrialSteps = 2;
-  cfg.trialCellsPerRank = 1 << 12;
-  TuningInput in = cavityInput();
-  in.ranks = 1;
-  // A tiny patch and a huge one: the predicted-seconds argmin may differ
-  // per patch, but every mapped name must be catalogued and every patch
-  // id covered by default-or-override.
-  in.patchCells = {64.0, 4.0e6};
-  const TuningPlan p = Tuner(cfg).plan(in);
-  EXPECT_NE(p.evidence.count("patchmap.overrides"), 0u);
-  for (const auto& [id, name] : p.patchBackends) {
-    EXPECT_GE(id, 0);
-    EXPECT_LT(id, 2);
-    EXPECT_NE(find_backend_info(name), nullptr) << name;
-    EXPECT_NE(name, p.backend);  // overrides only record deviations
-  }
 }
 
 // --------------------------------------------------------------- cache
@@ -191,7 +152,6 @@ TEST(TuningCache, BackendSurvivesRoundTrip) {
   const TuningInput in = cavityInput();
   TuningPlan p = Tuner().plan(in);
   p.backend = "esoteric";
-  p.patchBackends = {{1, "generic"}, {4, "threads"}};
   TuningCache cache;
   cache.store(in.key(), p);
   const std::string path = tmpPath("swlb_tune_variant.json");
@@ -200,15 +160,14 @@ TEST(TuningCache, BackendSurvivesRoundTrip) {
   const auto hit = loaded.lookup(in.key());
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->backend, "esoteric");
-  EXPECT_EQ(hit->patchBackends, p.patchBackends);
   EXPECT_EQ(*hit, p);
   fs::remove(path);
 }
 
 TEST(TuningCache, LegacyKernelVariantFieldReadsAsBackend) {
   // A cache written by a pre-backend-layer binary names the knob
-  // "kernel_variant" and has no "backend"/"patch_backends" keys; the
-  // tolerant reader maps it onto TuningPlan::backend.
+  // "kernel_variant" and has no "backend" key; the tolerant reader maps
+  // it onto TuningPlan::backend.
   const TuningInput in = cavityInput();
   TuningPlan p = Tuner().plan(in);
   p.backend = "generic";
@@ -219,10 +178,6 @@ TEST(TuningCache, LegacyKernelVariantFieldReadsAsBackend) {
   auto pos = json.find(be);
   ASSERT_NE(pos, std::string::npos);
   json.erase(pos, be.size());
-  const std::string pb = "\"patch_backends\": {}, ";
-  pos = json.find(pb);
-  ASSERT_NE(pos, std::string::npos);
-  json.erase(pos, pb.size());
 
   const std::string path = tmpPath("swlb_tune_legacy_kv.json");
   {
@@ -233,45 +188,47 @@ TEST(TuningCache, LegacyKernelVariantFieldReadsAsBackend) {
   const auto hit = loaded.lookup(in.key());
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->backend, "generic");
-  EXPECT_TRUE(hit->patchBackends.empty());
   EXPECT_EQ(*hit, p);
   fs::remove(path);
 }
 
 TEST(TuningCache, RetiredSimdBackendReadsAsFused) {
-  // The simd backend was folded into fused, which now vectorizes the same
-  // bulk runs.  A cached plan naming it must still apply: "simd" reads as
-  // "fused" under "backend", the legacy "kernel_variant" key, and every
-  // patch_backends entry.
+  // Two retired backends ran the fused kernel: "simd" (its bulk runs now
+  // vectorize inside fused) and "threads" (fused on a thread team, which
+  // every sub-range backend now gets at the solver's host-thread count).
+  // A cached plan naming either must still apply: it reads as "fused"
+  // under "backend" and under the legacy "kernel_variant" key, and the
+  // retired per-patch tuner's "patch_backends" key is ignored.
   const TuningInput in = cavityInput();
-  TuningPlan p = Tuner().plan(in);
-  p.backend = "simd";
-  p.patchBackends = {{2, "simd"}, {3, "threads"}};
-  TuningCache cache;
-  cache.store(in.key(), p);
-  const std::string json = cache.toString();
-  const std::string be = "\"backend\": \"simd\", ";
-  const auto pos = json.find(be);
-  ASSERT_NE(pos, std::string::npos);
-  std::string legacy = json;
-  legacy.erase(pos, be.size());  // leaves only "kernel_variant": "simd"
+  for (const std::string retired : {"simd", "threads"}) {
+    SCOPED_TRACE(retired);
+    TuningPlan p = Tuner().plan(in);
+    p.backend = retired;
+    TuningCache cache;
+    cache.store(in.key(), p);
+    const std::string json = cache.toString();
+    const std::string be = "\"backend\": \"" + retired + "\", ";
+    const auto pos = json.find(be);
+    ASSERT_NE(pos, std::string::npos);
+    std::string legacy = json;
+    // Leaves only "kernel_variant": <retired>, plus an old per-patch map.
+    legacy.replace(pos, be.size(),
+                   "\"patch_backends\": {\"2\": \"" + retired + "\"}, ");
 
-  const std::map<int, std::string> wantPatches = {{2, "fused"},
-                                                  {3, "threads"}};
-  for (const std::string& text : {json, legacy}) {
-    const std::string path = tmpPath("swlb_tune_simd_alias.json");
-    {
-      std::ofstream out(path);
-      out << text;
+    for (const std::string& text : {json, legacy}) {
+      const std::string path = tmpPath("swlb_tune_retired_alias.json");
+      {
+        std::ofstream out(path);
+        out << text;
+      }
+      const auto hit = TuningCache::load(path).lookup(in.key());
+      fs::remove(path);
+      ASSERT_TRUE(hit.has_value());
+      EXPECT_EQ(hit->backend, "fused");
+      std::string name = "generic";
+      swlb::tune::apply(*hit, name);
+      EXPECT_EQ(name, "fused");
     }
-    const auto hit = TuningCache::load(path).lookup(in.key());
-    fs::remove(path);
-    ASSERT_TRUE(hit.has_value());
-    EXPECT_EQ(hit->backend, "fused");
-    EXPECT_EQ(hit->patchBackends, wantPatches);
-    std::string name = "generic";
-    swlb::tune::apply(*hit, name);
-    EXPECT_EQ(name, "fused");
   }
 }
 
