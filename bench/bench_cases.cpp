@@ -11,7 +11,6 @@
 #include <iostream>
 
 #include "app/cases.hpp"
-#include "core/observables.hpp"
 #include "obs/bench_report.hpp"
 #include "obs/context.hpp"
 #include "obs/step_profiler.hpp"
@@ -53,8 +52,7 @@ void runCase(Row& row, const std::string& config, int steps,
   row.steps = steps;
   row.mlups = prof.mlups();
   if (c.obstacleId != 0) {
-    const Vec3 f = momentum_exchange_force<D3Q19>(
-        c.solver->f(), c.solver->mask(), c.solver->materials(), c.obstacleId);
+    const Vec3 f = c.solver->force(c.obstacleId);
     row.observable = obsName + " = " + perf::Table::num(f.x, 5);
   } else {
     const Vec3 u = c.solver->velocity(g.nx / 2, g.ny / 2, g.nz / 2);

@@ -62,8 +62,7 @@ int main(int argc, char** argv) {
   const Real dyn = 0.5 * 1.0 * uIn * uIn * d;  // 0.5 rho U^2 D (per unit depth)
   for (int s = warmup; s < steps; ++s) {
     solver.step();
-    const Vec3 f = momentum_exchange_force<D2Q9>(solver.f(), solver.mask(),
-                                                 solver.materials(), cyl);
+    const Vec3 f = solver.force(cyl);
     const Real cd = f.x / dyn, cl = f.y / dyn;
     history.row({static_cast<Real>(s), cd, cl});
     lift.push_back(cl);

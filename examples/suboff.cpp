@@ -64,8 +64,7 @@ int main(int argc, char** argv) {
   solver.initUniform(1.0, {uIn, 0, 0});
 
   const double mlups = solver.runMeasured(steps);
-  const Vec3 force = momentum_exchange_force<D3Q19>(
-      solver.f(), solver.mask(), solver.materials(), hullMat);
+  const Vec3 force = solver.force(hullMat);
   const Real frontalArea = std::numbers::pi_v<Real> * maxRadius * maxRadius;
   const Real cd = force.x / (0.5 * uIn * uIn * frontalArea);
 

@@ -17,7 +17,10 @@
 // --ranks N runs the case on the N-rank distributed runtime (cavity only
 // in this driver) under the resilient driver; --max-shrinks K additionally
 // arms elastic shrink-to-fit recovery (DESIGN.md §10), so up to K
-// permanently lost ranks degrade the run instead of killing it.
+// permanently lost ranks degrade the run instead of killing it.  The halo
+// schedule is Overlap, or Sequential for a backend that cannot split its
+// sweep around the exchange (a whole-block or in-place backend: swcpe,
+// esoteric); the driver prints the one it chose.
 //
 // --patches N switches the distributed path to the patch-aware runtime
 // (runtime/patches, DESIGN.md §13) with N patches per rank, assigned by
@@ -57,7 +60,6 @@
 #include <sstream>
 
 #include "app/cases.hpp"
-#include "core/observables.hpp"
 #include "io/checkpoint_controller.hpp"
 #include "io/ppm.hpp"
 #include "io/vtk.hpp"
@@ -187,6 +189,16 @@ int runDistributedCavity(const app::Config& cfg, int ranks, int maxShrinks,
                           std::to_string(maxShrinks) + ")"
                     : "")
             << "\n";
+  // Overlap hides the exchange behind the inner sweep but needs a backend
+  // that sweeps sub-ranges of a two-lattice block; DistributedSolver
+  // rejects it for any other, so choose Sequential for those here.
+  const std::string backend = backendFlag.empty() ? "fused" : backendFlag;
+  const BackendInfo* info = find_backend_info(backend);
+  const runtime::HaloMode mode =
+      info && (!info->caps.subRange || info->caps.inPlaceStreaming)
+          ? runtime::HaloMode::Sequential
+          : runtime::HaloMode::Overlap;
+  std::cout << "halo schedule: " << tune::halo_mode_name(mode) << "\n";
 
   // procGrid stays automatic so the same factory rebuilds the case at
   // whatever rank count survives a shrink.
@@ -194,7 +206,8 @@ int runDistributedCavity(const app::Config& cfg, int ranks, int maxShrinks,
     DistributedSolver<D3Q19>::Config dcfg;
     dcfg.global = n;
     dcfg.collision = col;
-    if (!backendFlag.empty()) dcfg.backend = backendFlag;
+    dcfg.mode = mode;
+    dcfg.backend = backend;
     auto s = std::make_unique<DistributedSolver<D3Q19>>(c, dcfg);
     const auto lid = s->materials().addMovingWall({uLid, 0, 0});
     s->paintGlobal({{0, 0, n.z - 1}, {n.x, n.y, n.z}}, lid);
@@ -424,9 +437,7 @@ int main(int argc, char** argv) {
       std::cout << "wrote " << prefix << ".ppm\n";
     }
     if (sim.obstacleId != 0) {
-      const Vec3 f = momentum_exchange_force<D3Q19>(
-          sim.solver->f(), sim.solver->mask(), sim.solver->materials(),
-          sim.obstacleId);
+      const Vec3 f = sim.solver->force(sim.obstacleId);
       std::cout << "obstacle force = (" << f.x << ", " << f.y << ", " << f.z
                 << ")\n";
     }

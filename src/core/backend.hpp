@@ -1,8 +1,8 @@
 // Kernel-backend concept (DESIGN.md §14): the one interface every
-// stream/collide execution strategy implements, so Solver,
-// DistributedSolver and PatchSolver dispatch through a registry instead
-// of per-variant switch statements — the miniLB-style portability layer
-// (PAPERS.md, arXiv:2409.16781).  A backend owns *what* one fused LBM
+// stream/collide execution strategy implements, so Solver — the block
+// engine DistributedSolver and PatchSolver also run their blocks on —
+// dispatches through a registry instead of per-variant switch statements
+// — the miniLB-style portability layer (PAPERS.md, arXiv:2409.16781).  A backend owns *what* one fused LBM
 // update computes (fused sweep, the SW CPE emulator, in-place
 // Esoteric-Pull); the solvers own *when*: halo wraps, exchanges, parity,
 // observables.  How many host threads run it is neither's business: the
@@ -19,11 +19,7 @@
 //     stepInPlaceEven/Odd pair instead; step() throws.  The in-place
 //     phase contract IS the Esoteric-Pull rotated layout (DESIGN.md §11):
 //     after an even sweep, f_i*(x) lives at slot opp(i) of x + c_i, and
-//     solvers decode through EsotericPhase1View.
-//   * packHalo/unpackHalo serialize a box of raw storage elements in the
-//     HaloExchange order (q outer, then z, y, x) — the bytes ghost
-//     messages and patch strips carry.  Backends with exotic layouts
-//     override them; the defaults copy PopulationFieldT::raw verbatim.
+//     Solver's readers decode through EsotericPhase1View.
 //   * A caps.subRange backend's step hooks run concurrently on disjoint
 //     z-slabs of one call's range; the others are called once from the
 //     solver's step thread.  Calls never overlap each other.
@@ -61,7 +57,7 @@ struct BackendCaps {
   /// the solver's host threads, and DistributedSolver's overlap schedule
   /// relies on it for its inner/shell split.  Off for push (its scatter
   /// writes outside `range` in an order-dependent way) and whole-block
-  /// backends (swcpe: DistributedSolver then forces Sequential mode).
+  /// backends (swcpe: DistributedSolver rejects the Overlap mode).
   bool subRange = true;
   /// Output is bit-identical to stream_collide_fused at equal storage.
   /// The conformance harness enforces bitwise equality where set and a
@@ -180,31 +176,6 @@ class KernelBackend {
     sweep(range, threads, [&](const Box3& slab) {
       stepInPlaceOdd(f, mask, mats, cfg, slab);
     });
-  }
-
-  /// Serialize `box` of `f` into `out` as raw storage elements in the
-  /// HaloExchange pack order (q outer, then z, y, x) — `box.volume() *
-  /// Q` elements.  Ghost messages between patches carry exactly these
-  /// bytes, so sender and receiver backends must agree on the order;
-  /// the defaults implement it for the natural SoA layout.
-  virtual void packHalo(const Field& f, const Box3& box, S* out) const {
-    std::size_t k = 0;
-    for (int q = 0; q < D::Q; ++q)
-      for (int z = box.lo.z; z < box.hi.z; ++z)
-        for (int y = box.lo.y; y < box.hi.y; ++y)
-          for (int x = box.lo.x; x < box.hi.x; ++x)
-            out[k++] = f.raw(q, x, y, z);
-  }
-
-  /// Inverse of packHalo: deposit `box.volume() * Q` raw elements from
-  /// `in` into `box` of `f` (halo cells of the receiving block).
-  virtual void unpackHalo(Field& f, const Box3& box, const S* in) const {
-    std::size_t k = 0;
-    for (int q = 0; q < D::Q; ++q)
-      for (int z = box.lo.z; z < box.hi.z; ++z)
-        for (int y = box.lo.y; y < box.hi.y; ++y)
-          for (int x = box.lo.x; x < box.hi.x; ++x)
-            f.raw(q, x, y, z) = in[k++];
   }
 
  protected:

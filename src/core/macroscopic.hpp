@@ -26,8 +26,10 @@ inline void cell_macroscopic(const F& f, int x, int y, int z,
   if (cfg.hasForce()) guo_velocity_shift(u, cfg.bodyForce, inv);
 }
 
-/// Fill density and velocity fields over the interior.  Non-fluid cells get
-/// rho = material rho and u = material u (walls: zero).
+/// Fill density and velocity fields over the interior.  Cells whose
+/// populations hold the state (is_pullable: fluid, porous, inlets, Zou-He,
+/// outflow) report their moments; every other cell gets rho = material
+/// rho and u = material u (walls: zero).
 template <class D, class F>
 void compute_macroscopic(const F& f, const MaskField& mask,
                          const MaterialTable& mats, const CollisionConfig& cfg,
@@ -37,8 +39,7 @@ void compute_macroscopic(const F& f, const MaskField& mask,
     for (int y = 0; y < g.ny; ++y)
       for (int x = 0; x < g.nx; ++x) {
         const Material& m = mats[mask(x, y, z)];
-        if (m.cls == CellClass::Fluid || m.cls == CellClass::VelocityInlet ||
-            m.cls == CellClass::Outflow) {
+        if (is_pullable(m.cls)) {
           Real r;
           Vec3 v;
           cell_macroscopic<D>(f, x, y, z, cfg, r, v);

@@ -4,16 +4,23 @@
 // (core/backend.hpp, DESIGN.md §14): the solver schedules wraps, parity
 // and observables and sets the host-thread count; the backend runs the
 // update.
+//
+// DistributedSolver ranks and PatchSolver patches run their blocks on a
+// Solver too, composing its step pieces around their ghost exchange, so
+// the in-place phase logic and the rotated-layout readers live only here.
 #pragma once
 
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 
 #include "core/backends.hpp"
 #include "core/kernels.hpp"
 #include "core/macroscopic.hpp"
+#include "core/observables.hpp"
 #include "obs/context.hpp"
 
 namespace swlb {
@@ -135,31 +142,64 @@ class Solver {
   /// Advance one time step: wrap periodic halos, backend update, A-B
   /// swap.  Under an in-place backend, parity_ is the phase instead of
   /// the A-B index: 0 = natural layout, 1 = rotated (post-even) layout.
+  /// The even in-place phase also folds its outward scatter back after
+  /// the sweep; the odd one is purely local (DESIGN.md §11).
   void step() {
     obs::TraceScope stepScope("step");
+    const bool oddInPlace = inPlace() && parity_ == 1;
+    if (!oddInPlace) {
+      obs::TraceScope wrapScope("periodic_wrap");
+      wrapHalo();
+    }
+    {
+      obs::TraceScope kernelScope("compute.kernel");
+      sweep(grid_.interior());
+    }
+    if (inPlace() && !oddInPlace) {
+      obs::TraceScope wrapScope("periodic_wrap");
+      unwrapHalo();
+    }
+    advance();
+  }
+
+  // The pieces of step(), in call order; a distributed schedule adds its
+  // forward exchange before the sweeps (which tile the interior) and, on
+  // an even in-place phase, its reverse exchange before unwrapHalo.
+
+  /// Copy interior faces into the periodic halo of the current buffer.
+  void wrapHalo() { apply_periodic(f(), periodic_); }
+
+  /// Stream/collide `range` (interior coordinates) of the current buffer:
+  /// into the other A-B buffer, or in place through the even or odd hook
+  /// the phase selects.  The only place that builds BackendStepArgs.
+  void sweep(const Box3& range) {
     SWLB_ASSERT(maskFinal_);
-    if (backend_->info().caps.inPlaceStreaming) {
-      stepInPlace();
-      parity_ = 1 - parity_;
-      ++steps_;
+    if (inPlace()) {
+      if (parity_ == 0)
+        backend_->runInPlaceEven(f_[0], mask_, mats_, cfg_, range,
+                                 hostThreads_);
+      else
+        backend_->runInPlaceOdd(f_[0], mask_, mats_, cfg_, range,
+                                hostThreads_);
       return;
     }
-    Field& src = f_[parity_];
-    Field& dst = f_[1 - parity_];
-    {
-      obs::TraceScope wrapScope("periodic_wrap");
-      apply_periodic(src, periodic_);
-    }
-    obs::TraceScope kernelScope("compute.kernel");
     BackendStepArgs<D, S> args;
-    args.src = &src;
-    args.dst = &dst;
+    args.src = &f_[parity_];
+    args.dst = &f_[1 - parity_];
     args.mask = &mask_;
     args.mats = &mats_;
     args.cfg = &cfg_;
-    args.range = grid_.interior();
+    args.range = range;
     args.periodic = periodic_;
     backend_->run(args, hostThreads_);
+  }
+
+  /// After an even in-place sweep: fold the outward scatter that landed in
+  /// the periodic halo back onto the opposite interior edge.
+  void unwrapHalo() { apply_periodic_reverse<D>(f_[0], periodic_); }
+
+  /// Finish the step: flip the A-B parity (in-place phase) and count it.
+  void advance() {
     parity_ = 1 - parity_;
     ++steps_;
   }
@@ -187,10 +227,11 @@ class Solver {
   /// macroscopic accessors, which decode it, rather than indexing raw.
   const Field& f() const { return inPlace() ? f_[0] : f_[parity_]; }
   Field& f() { return inPlace() ? f_[0] : f_[parity_]; }
-  /// The other buffer of the A-B pair (scratch / previous step).
-  Field& fOther() { return f_[1 - parity_]; }
   int parity() const { return parity_; }
-  void setParity(int p) { parity_ = p; }
+  /// True when the backend streams in place in one buffer (Esoteric-Pull).
+  bool inPlace() const { return backend_->info().caps.inPlaceStreaming; }
+  /// True once finalizeMask() has run.
+  bool maskFinalized() const { return maskFinal_; }
   /// Restore step counter and A-B parity (checkpoint restart).  In-place
   /// checkpoints must be cut at an even phase (natural layout).
   void restoreState(std::uint64_t steps, int parity) {
@@ -204,79 +245,65 @@ class Solver {
   /// phase: after an in-place even step, f_i*(x) lives at slot opp(i) of
   /// x + c_i (the Esoteric-Pull rotated-layout contract).
   Real population(int i, int x, int y, int z) const {
-    if (rotated())
-      return f_[0](D::opp(i), x + D::c[i][0], y + D::c[i][1], z + D::c[i][2]);
-    return f()(i, x, y, z);
+    return decoded([&](const auto& f) { return f(i, x, y, z); });
   }
 
-  Real density(int x, int y, int z) const {
-    Real rho;
-    Vec3 u;
-    if (rotated())
-      cell_macroscopic<D>(EsotericPhase1View<D, S>(f_[0]), x, y, z, cfg_, rho,
-                          u);
-    else
-      cell_macroscopic<D>(f(), x, y, z, cfg_, rho, u);
-    return rho;
-  }
-  Vec3 velocity(int x, int y, int z) const {
-    Real rho;
-    Vec3 u;
-    if (rotated())
-      cell_macroscopic<D>(EsotericPhase1View<D, S>(f_[0]), x, y, z, cfg_, rho,
-                          u);
-    else
-      cell_macroscopic<D>(f(), x, y, z, cfg_, rho, u);
-    return u;
-  }
+  Real density(int x, int y, int z) const { return moments(x, y, z).first; }
+  Vec3 velocity(int x, int y, int z) const { return moments(x, y, z).second; }
   void computeMacroscopic(ScalarField& rho, VectorField& u) const {
-    if (rotated())
-      compute_macroscopic<D>(EsotericPhase1View<D, S>(f_[0]), mask_, mats_,
-                             cfg_, rho, u);
-    else
-      compute_macroscopic<D>(f(), mask_, mats_, cfg_, rho, u);
+    decoded([&](const auto& f) {
+      compute_macroscopic<D>(f, mask_, mats_, cfg_, rho, u);
+    });
   }
 
   Real totalMass() const {
-    if (rotated())
-      return total_mass<D>(EsotericPhase1View<D, S>(f_[0]), mask_, mats_);
-    return total_mass<D>(f(), mask_, mats_);
+    return decoded(
+        [&](const auto& f) { return total_mass<D>(f, mask_, mats_); });
   }
   Vec3 totalMomentum() const {
-    if (rotated())
-      return total_momentum<D>(EsotericPhase1View<D, S>(f_[0]), mask_, mats_);
-    return total_momentum<D>(f(), mask_, mats_);
+    return decoded(
+        [&](const auto& f) { return total_momentum<D>(f, mask_, mats_); });
+  }
+  /// Momentum-exchange force the fluid exerts on cells of material `id`
+  /// (core/observables.hpp).
+  Vec3 force(std::uint8_t id) const {
+    return decoded([&](const auto& f) {
+      return momentum_exchange_force<D>(f, mask_, mats_, id);
+    });
+  }
+
+  /// NaN/Inf guard over the interior of the current population buffer.
+  /// Ghost layers are excluded: they are rewritten by the wrap or halo
+  /// exchange before every read, but a stale NaN can linger there across
+  /// a rollback (streaming never writes ghosts) and must not re-trip the
+  /// guard after recovery.
+  bool populationsFinite() const {
+    const Field& field = f();
+    for (int q = 0; q < D::Q; ++q)
+      for (int z = 0; z < grid_.nz; ++z)
+        for (int y = 0; y < grid_.ny; ++y)
+          for (int x = 0; x < grid_.nx; ++x)
+            if (!std::isfinite(field(q, x, y, z))) return false;
+    return true;
   }
 
  private:
-  bool inPlace() const { return backend_->info().caps.inPlaceStreaming; }
-  /// True when the single in-place buffer is in the rotated (post-even)
-  /// layout and reads must decode through EsotericPhase1View.
-  bool rotated() const { return inPlace() && parity_ == 1; }
+  /// Call `fn` with the populations in canonical layout: the current
+  /// buffer, or — when the single in-place buffer is in the rotated
+  /// (post-even) layout — that buffer decoded through EsotericPhase1View.
+  template <class Fn>
+  auto decoded(Fn&& fn) const {
+    if (inPlace() && parity_ == 1) return fn(EsotericPhase1View<D, S>(f_[0]));
+    return fn(f());
+  }
 
-  /// In-place step schedule: even phase wraps forward, sweeps, and wraps
-  /// the rotated layout back; odd phase is purely local (no halo
-  /// traffic).  The wrap choreography is part of the in-place contract
-  /// (DESIGN.md §11), so it stays in the solver; the backend only sweeps.
-  void stepInPlace() {
-    const Box3 range = grid_.interior();
-    if (parity_ == 0) {
-      {
-        obs::TraceScope wrapScope("periodic_wrap");
-        apply_periodic(f_[0], periodic_);
-      }
-      {
-        obs::TraceScope kernelScope("compute.kernel");
-        backend_->runInPlaceEven(f_[0], mask_, mats_, cfg_, range,
-                                 hostThreads_);
-      }
-      obs::TraceScope wrapScope("periodic_wrap");
-      apply_periodic_reverse<D>(f_[0], periodic_);
-    } else {
-      obs::TraceScope kernelScope("compute.kernel");
-      backend_->runInPlaceOdd(f_[0], mask_, mats_, cfg_, range,
-                              hostThreads_);
-    }
+  /// (density, velocity) of one cell (core/macroscopic.hpp).
+  std::pair<Real, Vec3> moments(int x, int y, int z) const {
+    std::pair<Real, Vec3> m{0, {}};
+    decoded([&](const auto& f) {
+      cell_macroscopic<D>(f, x, y, z, cfg_, m.first, m.second);
+    });
+    return m;
   }
 
   Grid grid_;

@@ -7,7 +7,10 @@
 // are in flight, and the one-cell boundary shell is updated after the halo
 // lands — hiding almost all communication cost behind computation.
 //
-// Every rank owns exactly one uniform block here.  For workloads where
+// Every rank owns exactly one uniform block here, and runs it on a
+// swlb::Solver (core/solver.hpp): the block owns the population buffers,
+// mask, backend and parity; this class owns the decomposition and the
+// halo schedule around the block's sweeps.  For workloads where
 // the uniform volume split leaves ranks idle (solid-heavy masks), the
 // patch-aware mode in runtime/patches.hpp (PatchSolver, DESIGN.md §13)
 // splits the domain into many small patches per rank, balances them by
@@ -16,13 +19,8 @@
 #pragma once
 
 #include <chrono>
-#include <cmath>
 
 #include "coll/coll.hpp"
-#include "core/backends.hpp"
-#include "core/kernels.hpp"
-#include "core/macroscopic.hpp"
-#include "core/observables.hpp"
 #include "core/solver.hpp"
 #include "obs/context.hpp"
 #include "runtime/halo.hpp"
@@ -42,6 +40,9 @@ class DistributedSolver {
     Int3 global{0, 0, 0};
     CollisionConfig collision;
     Periodicity periodic;
+    /// Overlap sweeps the inner box and the shell in separate calls, so
+    /// construction rejects it for whole-block (!caps.subRange: swcpe)
+    /// and in-place (esoteric) backends; run those under Sequential.
     HaloMode mode = HaloMode::Overlap;
     /// Process grid; {0,0,0} selects Decomposition::choose(comm.size()).
     Int3 procGrid{0, 0, 0};
@@ -49,11 +50,7 @@ class DistributedSolver {
     /// Backends without caps.distributed (twostep, push) are rejected at
     /// construction.  In-place backends (esoteric) free the second
     /// buffer and only communicate on even steps (halved exchange
-    /// frequency); their step always runs the sequential-style schedule
-    /// regardless of `mode`, because the in-place sweep cannot split
-    /// into inner/shell passes around an exchange that its own scatter
-    /// must precede.  Whole-block backends (!caps.subRange, swcpe) force
-    /// HaloMode::Sequential for the same reason.
+    /// frequency).
     std::string backend = "fused";
     /// Host threads each caps.subRange backend call is split across
     /// (<= 0 = one per hardware core; see Solver::setHostThreads).
@@ -67,73 +64,62 @@ class DistributedSolver {
                                 ? cfg.procGrid
                                 : Decomposition::choose(comm.size(), cfg.global)),
         owned_(decomp_.blockOf(comm.rank())),
-        grid_(owned_.hi.x - owned_.lo.x, owned_.hi.y - owned_.lo.y,
-              owned_.hi.z - owned_.lo.z),
-        halo_(decomp_, comm.rank(), cfg.periodic, grid_),
-        f_{Field(grid_, D::Q), Field(grid_, D::Q)},
-        mask_(grid_, MaterialTable::kFluid) {
+        block_(Grid(owned_.hi.x - owned_.lo.x, owned_.hi.y - owned_.lo.y,
+                    owned_.hi.z - owned_.lo.z),
+               cfg.collision, Periodicity{false, false, cfg.periodic.z}),
+        halo_(decomp_, comm.rank(), cfg.periodic, block_.grid()) {
     if (decomp_.rankCount() != comm.size())
       throw Error("DistributedSolver: process grid does not match world size");
-    backend_ = make_backend<D, S>(cfg_.backend);
-    const BackendCaps& caps = backend_->info().caps;
+    block_.setBackend(cfg_.backend);
+    block_.setHostThreads(cfg_.hostThreads);
+    const BackendCaps& caps = block_.backend().info().caps;
     if (!caps.distributed)
       throw Error("DistributedSolver: backend '" + cfg_.backend +
                   "' is a single-rank ablation baseline (capability "
                   "'distributed' is off)");
-    // Whole-block backends cannot run the overlap schedule's inner/shell
-    // split; drop to the sequential schedule instead of mis-slicing.
-    if (!caps.subRange) cfg_.mode = HaloMode::Sequential;
-    f_[0].setShift(D::w);
-    f_[1].setShift(D::w);
-    if (caps.inPlaceStreaming) f_[1] = Field();
-    obs::gaugeSet("solver.population_bytes",
-                  static_cast<double>(populationBytes()));
+    if (cfg_.mode == HaloMode::Overlap &&
+        (!caps.subRange || caps.inPlaceStreaming))
+      throw Error("DistributedSolver: backend '" + cfg_.backend +
+                  "' cannot split its sweep around the exchange (" +
+                  (caps.subRange ? "capability 'inPlaceStreaming' is on"
+                                 : "capability 'subRange' is off") +
+                  "); the Overlap halo mode needs that, use Sequential");
   }
 
   Comm& comm() { return comm_; }
   const Decomposition& decomposition() const { return decomp_; }
   const Box3& ownedBox() const { return owned_; }
-  const Grid& localGrid() const { return grid_; }
-  MaterialTable& materials() { return mats_; }
-  const MaskField& mask() const { return mask_; }
-  CollisionConfig& collision() { return cfg_.collision; }
+  const Grid& localGrid() const { return block_.grid(); }
+  MaterialTable& materials() { return block_.materials(); }
+  const MaskField& mask() const { return block_.mask(); }
+  CollisionConfig& collision() { return block_.collision(); }
+  /// This rank's block (local coordinates, one ghost layer).
+  Solver<D, S>& block() { return block_; }
+  const Solver<D, S>& block() const { return block_; }
 
   /// Paint material `id` over a box given in *global* coordinates.
   void paintGlobal(const Box3& globalBox, std::uint8_t id) {
     const Box3 local = intersect(globalBox, owned_);
-    for (int z = local.lo.z; z < local.hi.z; ++z)
-      for (int y = local.lo.y; y < local.hi.y; ++y)
-        for (int x = local.lo.x; x < local.hi.x; ++x)
-          mask_(x - owned_.lo.x, y - owned_.lo.y, z - owned_.lo.z) = id;
+    block_.paint({local.lo - owned_.lo, local.hi - owned_.lo}, id);
   }
 
   /// Finish mask setup: halo defaults to solid, periodic z wraps locally,
   /// x/y halo strips are exchanged with the neighbours.  Collective.
+  /// The block validates its backend against the mask first;
+  /// KernelBackend::init reads interior cells only, so the x/y ghost ring
+  /// the exchange writes afterwards needs no second validation.
   void finalizeMask() {
-    fill_halo_mask(mask_, Periodicity{false, false, zWrapLocal()},
-                   MaterialTable::kSolid);
-    halo_.exchangeMask(comm_, mask_);
-    maskFinal_ = true;
-    // Capability validation: in-place backends reject Outflow masks here.
-    backend_->init(grid_, mask_, mats_);
+    block_.finalizeMask();
+    halo_.exchangeMask(comm_, block_.mask());
   }
 
   /// Equilibrium initialization from a *global*-coordinate field function.
   void initField(const std::function<void(int, int, int, Real&, Vec3&)>& fn) {
-    if (!maskFinal_) finalizeMask();
-    Real feq[D::Q];
-    for (int z = -1; z <= grid_.nz; ++z)
-      for (int y = -1; y <= grid_.ny; ++y)
-        for (int x = -1; x <= grid_.nx; ++x) {
-          Real rho = 1;
-          Vec3 u{0, 0, 0};
-          fn(x + owned_.lo.x, y + owned_.lo.y, z + owned_.lo.z, rho, u);
-          equilibria<D>(rho, u, feq);
-          for (int i = 0; i < D::Q; ++i) {
-            f_[0](i, x, y, z) = feq[i];
-            if (f_[1].size()) f_[1](i, x, y, z) = feq[i];
-          }
-        }
+    if (!block_.maskFinalized()) finalizeMask();
+    const Int3 lo = owned_.lo;
+    block_.initField([&](int x, int y, int z, Real& rho, Vec3& u) {
+      fn(x + lo.x, y + lo.y, z + lo.z, rho, u);
+    });
   }
 
   void initUniform(Real rho, const Vec3& u) {
@@ -148,31 +134,49 @@ class DistributedSolver {
   // per rank and one histogram observation (DESIGN.md §6).  Top-level
   // phases are disjoint sub-intervals of "step", so their times sum to at
   // most the step time — an invariant test_obs_integration checks.
+  //
+  // In-place (Esoteric-Pull) backends run the Sequential schedule.  Even
+  // phase: local z wrap, forward exchange (the gather pulls from the halo
+  // exactly like the fused kernel), one whole-interior in-place sweep,
+  // then the *reverse* exchange + local reverse z wrap fold the outward
+  // scatter back to its owners.  Odd phase: fully local — no
+  // communication at all, halving the exchange frequency relative to the
+  // two-lattice schedule.
   void step() {
     obs::TraceScope stepScope("step");
-    SWLB_ASSERT(maskFinal_);
-    if (inPlace()) {
-      stepInPlace();
-      parity_ = 1 - parity_;
-      ++steps_;
+    const Box3 interior = block_.grid().interior();
+    if (block_.inPlace() && block_.parity() == 1) {
+      {
+        obs::TraceScope computeScope("compute.interior");
+        block_.sweep(interior);
+      }
+      block_.advance();
       return;
     }
-    Field& src = f_[parity_];
-    Field& dst = f_[1 - parity_];
     {
       // z is never decomposed: wrap it locally before the x/y exchange so
       // the exchanged strips carry valid z-halo rows.
       obs::TraceScope zScope("z_wrap");
-      apply_periodic(src, Periodicity{false, false, zWrapLocal()});
+      block_.wrapHalo();
     }
-
+    Field& src = block_.f();
     if (cfg_.mode == HaloMode::Sequential) {
       {
         obs::TraceScope haloScope("halo.exchange");
         halo_.exchange(comm_, src);
       }
-      obs::TraceScope computeScope("compute.interior");
-      runKernel(src, dst, grid_.interior());
+      {
+        obs::TraceScope computeScope("compute.interior");
+        block_.sweep(interior);
+      }
+      if (block_.inPlace()) {
+        {
+          obs::TraceScope haloScope("halo.exchange");
+          halo_.template exchangeReverse<D>(comm_, src);
+        }
+        obs::TraceScope zScope("z_wrap");
+        block_.unwrapHalo();
+      }
     } else {
       {
         obs::TraceScope postScope("halo.post");
@@ -180,17 +184,16 @@ class DistributedSolver {
       }
       {
         obs::TraceScope computeScope("compute.interior");
-        runKernel(src, dst, halo_.innerBox());
+        block_.sweep(halo_.innerBox());
       }
       {
         obs::TraceScope finishScope("halo.finish");
         halo_.finish(comm_, src);
       }
       obs::TraceScope frontierScope("compute.frontier");
-      for (const Box3& b : halo_.boundaryShell()) runKernel(src, dst, b);
+      for (const Box3& b : halo_.boundaryShell()) block_.sweep(b);
     }
-    parity_ = 1 - parity_;
-    ++steps_;
+    block_.advance();
   }
 
   void run(std::uint64_t n) {
@@ -211,49 +214,23 @@ class DistributedSolver {
     return cells * static_cast<double>(n) / sec / 1e6;
   }
 
-  std::uint64_t stepsDone() const { return steps_; }
-  int parity() const { return parity_; }
+  std::uint64_t stepsDone() const { return block_.stepsDone(); }
+  int parity() const { return block_.parity(); }
   /// Restore step counter and A-B parity (group checkpoint restart).
   /// In-place checkpoints must be cut at an even phase (natural layout).
   void restoreState(std::uint64_t steps, int parity) {
-    SWLB_ASSERT(parity == 0 || parity == 1);
-    SWLB_ASSERT(!inPlace() || parity == 0);
-    steps_ = steps;
-    parity_ = parity;
+    block_.restoreState(steps, parity);
   }
-  const Field& f() const { return inPlace() ? f_[0] : f_[parity_]; }
-  Field& f() { return inPlace() ? f_[0] : f_[parity_]; }
-  const KernelBackend<D, S>& backend() const { return *backend_; }
-  const std::string& backendName() const { return backend_->info().name; }
-  /// Effective halo schedule (may differ from the configured one when
-  /// the backend forces Sequential — see Config::backend docs).
-  HaloMode haloMode() const { return cfg_.mode; }
+  const Field& f() const { return block_.f(); }
+  Field& f() { return block_.f(); }
+  const KernelBackend<D, S>& backend() const { return block_.backend(); }
+  const std::string& backendName() const { return block_.backendName(); }
 
   /// Bytes held in population storage (one lattice under Esoteric).
-  std::size_t populationBytes() const {
-    return f_[0].bytes() + f_[1].bytes();
-  }
+  std::size_t populationBytes() const { return block_.populationBytes(); }
 
-  Real density(int lx, int ly, int lz) const {
-    Real rho;
-    Vec3 u;
-    if (rotatedPhase())
-      cell_macroscopic<D>(EsotericPhase1View<D, S>(f_[0]), lx, ly, lz,
-                          cfg_.collision, rho, u);
-    else
-      cell_macroscopic<D>(f(), lx, ly, lz, cfg_.collision, rho, u);
-    return rho;
-  }
-  Vec3 velocity(int lx, int ly, int lz) const {
-    Real rho;
-    Vec3 u;
-    if (rotatedPhase())
-      cell_macroscopic<D>(EsotericPhase1View<D, S>(f_[0]), lx, ly, lz,
-                          cfg_.collision, rho, u);
-    else
-      cell_macroscopic<D>(f(), lx, ly, lz, cfg_.collision, rho, u);
-    return u;
-  }
+  Real density(int x, int y, int z) const { return block_.density(x, y, z); }
+  Vec3 velocity(int x, int y, int z) const { return block_.velocity(x, y, z); }
 
   /// Total fluid mass across all ranks (collective).
   Real globalMass() {
@@ -262,11 +239,7 @@ class DistributedSolver {
 
   /// Fluid mass of this rank's block only (local; the resilient runner's
   /// divergence guard folds it into one well-ordered allreduce).
-  Real localMass() const {
-    if (rotatedPhase())
-      return total_mass<D>(EsotericPhase1View<D, S>(f_[0]), mask_, mats_);
-    return total_mass<D>(f(), mask_, mats_);
-  }
+  Real localMass() const { return block_.totalMass(); }
 
   /// Globally reduced communication counters (collective): every rank
   /// returns the world totals of the per-rank CommStats accumulated so
@@ -295,33 +268,17 @@ class DistributedSolver {
   /// masks are exchanged at init, so links crossing rank boundaries are
   /// counted exactly once.
   Vec3 globalForce(std::uint8_t id) {
-    const Vec3 local =
-        rotatedPhase()
-            ? momentum_exchange_force<D>(EsotericPhase1View<D, S>(f_[0]),
-                                         mask_, mats_, id)
-            : momentum_exchange_force<D>(f(), mask_, mats_, id);
+    const Vec3 local = block_.force(id);
     double v[3] = {local.x, local.y, local.z};
     coll::Collectives cs(comm_);
     cs.allreduce(std::span<double>(v, 3), coll::Op::Sum);
     return {v[0], v[1], v[2]};
   }
 
-  /// Local NaN/Inf guard over the interior of the current population
-  /// buffer.  Purely local so it can run inside a step's try block without
-  /// risking a mismatched collective.  Ghost layers are excluded: they are
-  /// rewritten by the halo exchange before every read, but a stale NaN can
-  /// linger there across a rollback (streaming never writes ghosts) and
-  /// must not re-trip the guard after recovery.
-  bool populationsFinite() const {
-    const Field& field = f();
-    const Grid& g = field.grid();
-    for (int q = 0; q < D::Q; ++q)
-      for (int z = 0; z < g.nz; ++z)
-        for (int y = 0; y < g.ny; ++y)
-          for (int x = 0; x < g.nx; ++x)
-            if (!std::isfinite(field(q, x, y, z))) return false;
-    return true;
-  }
+  /// Local NaN/Inf guard over the block interior (Solver::
+  /// populationsFinite).  Purely local so it can run inside a step's try
+  /// block without risking a mismatched collective.
+  bool populationsFinite() const { return block_.populationsFinite(); }
 
   /// Gather the full population field on `root` (interior cells only;
   /// other ranks receive an empty field).  Collective; test/IO helper.
@@ -331,8 +288,14 @@ class DistributedSolver {
   /// with all receives posted up front — a slow rank never serializes the
   /// others behind it.
   PopulationField gatherPopulations(int root) {
+    const Grid& lg = block_.grid();
     std::vector<Real> local(static_cast<std::size_t>(owned_.volume()) * D::Q);
-    packLocal(local);
+    std::size_t k = 0;
+    for (int q = 0; q < D::Q; ++q)
+      for (int z = 0; z < lg.nz; ++z)
+        for (int y = 0; y < lg.ny; ++y)
+          for (int x = 0; x < lg.nx; ++x)
+            local[k++] = block_.population(q, x, y, z);
     std::vector<std::size_t> counts(static_cast<std::size_t>(comm_.size()));
     std::size_t totalCount = 0;
     for (int r = 0; r < comm_.size(); ++r) {
@@ -349,14 +312,14 @@ class DistributedSolver {
     cs.gatherv<Real>(root, local, counts, all);
     Grid g(cfg_.global.x, cfg_.global.y, cfg_.global.z);
     PopulationField out(g, D::Q);
-    std::size_t k = 0;
+    std::size_t j = 0;
     for (int r = 0; r < comm_.size(); ++r) {
       const Box3 block = decomp_.blockOf(r);
       for (int q = 0; q < D::Q; ++q)
         for (int z = block.lo.z; z < block.hi.z; ++z)
           for (int y = block.lo.y; y < block.hi.y; ++y)
             for (int x = block.lo.x; x < block.hi.x; ++x)
-              out(q, x, y, z) = all[k++];
+              out(q, x, y, z) = all[j++];
     }
     return out;
   }
@@ -368,93 +331,12 @@ class DistributedSolver {
   }
 
  private:
-  bool zWrapLocal() const { return cfg_.periodic.z; }
-  bool inPlace() const { return backend_->info().caps.inPlaceStreaming; }
-  /// True when the single in-place buffer is in the rotated (post-even)
-  /// layout and reads must go through EsotericPhase1View.
-  bool rotatedPhase() const { return inPlace() && parity_ == 1; }
-
-  /// One backend update of `range`.  No fallback: the backend was
-  /// resolved by name at construction and capability-checked, so
-  /// whatever it is runs — an unsupported combination already threw.
-  void runKernel(Field& src, Field& dst, const Box3& range) {
-    BackendStepArgs<D, S> args;
-    args.src = &src;
-    args.dst = &dst;
-    args.mask = &mask_;
-    args.mats = &mats_;
-    args.cfg = &cfg_.collision;
-    args.range = range;
-    args.periodic = Periodicity{false, false, zWrapLocal()};
-    backend_->run(args, cfg_.hostThreads);
-  }
-
-  /// In-place (Esoteric-Pull) step.  Even phase: local z wrap, forward
-  /// exchange (the gather pulls from the halo exactly like the fused
-  /// kernel), one whole-interior in-place sweep, then the *reverse*
-  /// exchange + local reverse z wrap fold the outward scatter back to
-  /// its owners.  Odd phase: fully local — no communication at all,
-  /// halving the exchange frequency relative to the two-lattice
-  /// schedule.
-  void stepInPlace() {
-    Field& buf = f_[0];
-    if (parity_ == 0) {
-      {
-        obs::TraceScope zScope("z_wrap");
-        apply_periodic(buf, Periodicity{false, false, zWrapLocal()});
-      }
-      {
-        obs::TraceScope haloScope("halo.exchange");
-        halo_.exchange(comm_, buf);
-      }
-      {
-        obs::TraceScope computeScope("compute.interior");
-        backend_->runInPlaceEven(buf, mask_, mats_, cfg_.collision,
-                                 grid_.interior(), cfg_.hostThreads);
-      }
-      {
-        obs::TraceScope haloScope("halo.exchange");
-        halo_.template exchangeReverse<D>(comm_, buf);
-      }
-      obs::TraceScope zScope("z_wrap");
-      apply_periodic_reverse<D>(buf, Periodicity{false, false, zWrapLocal()});
-    } else {
-      obs::TraceScope computeScope("compute.interior");
-      backend_->runInPlaceOdd(buf, mask_, mats_, cfg_.collision,
-                              grid_.interior(), cfg_.hostThreads);
-    }
-  }
-
-  void packLocal(std::vector<Real>& buf) const {
-    std::size_t k = 0;
-    if (rotatedPhase()) {
-      const EsotericPhase1View<D, S> view(f_[0]);
-      for (int q = 0; q < D::Q; ++q)
-        for (int z = 0; z < grid_.nz; ++z)
-          for (int y = 0; y < grid_.ny; ++y)
-            for (int x = 0; x < grid_.nx; ++x) buf[k++] = view(q, x, y, z);
-      return;
-    }
-    const Field& field = f();
-    for (int q = 0; q < D::Q; ++q)
-      for (int z = 0; z < grid_.nz; ++z)
-        for (int y = 0; y < grid_.ny; ++y)
-          for (int x = 0; x < grid_.nx; ++x) buf[k++] = field(q, x, y, z);
-  }
-
   Comm& comm_;
   Config cfg_;
   Decomposition decomp_;
   Box3 owned_;
-  Grid grid_;
+  Solver<D, S> block_;
   HaloExchange halo_;
-  Field f_[2];
-  MaskField mask_;
-  MaterialTable mats_;
-  std::unique_ptr<KernelBackend<D, S>> backend_;
-  int parity_ = 0;
-  std::uint64_t steps_ = 0;
-  bool maskFinal_ = false;
 };
 
 }  // namespace swlb::runtime

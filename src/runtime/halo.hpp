@@ -73,14 +73,7 @@ class HaloExchange {
     for (auto& n : neighbors_) {
       n.sendBuf.resize(static_cast<std::size_t>(n.sendBox.volume()) * q *
                        sizeof(S));
-      S* out = reinterpret_cast<S*>(n.sendBuf.data());
-      std::size_t k = 0;
-      const Box3& box = n.sendBox;
-      for (int qq = 0; qq < q; ++qq)
-        for (int z = box.lo.z; z < box.hi.z; ++z)
-          for (int y = box.lo.y; y < box.hi.y; ++y)
-            for (int x = box.lo.x; x < box.hi.x; ++x)
-              out[k++] = f.raw(qq, x, y, z);
+      packStrip(f, n.sendBox, reinterpret_cast<S*>(n.sendBuf.data()));
       comm.isend(n.rank, n.sendTag, n.sendBuf.data(), n.sendBuf.size());
     }
   }
@@ -89,22 +82,40 @@ class HaloExchange {
   template <class S>
   void finish(Comm& comm, PopulationFieldT<S>& f) {
     (void)comm;
-    const int q = f.q();
     for (auto& n : neighbors_) {
       {
         obs::TraceScope waitScope("halo.wait");
         n.pending.wait();
       }
       obs::TraceScope unpackScope("halo.unpack");
-      const S* in = reinterpret_cast<const S*>(n.recvBuf.data());
-      std::size_t k = 0;
-      const Box3& box = n.recvBox;
-      for (int qq = 0; qq < q; ++qq)
-        for (int z = box.lo.z; z < box.hi.z; ++z)
-          for (int y = box.lo.y; y < box.hi.y; ++y)
-            for (int x = box.lo.x; x < box.hi.x; ++x)
-              f.raw(qq, x, y, z) = in[k++];
+      unpackStrip(f, n.recvBox, reinterpret_cast<const S*>(n.recvBuf.data()));
     }
+  }
+
+  /// Serialize `box` of `f` into `out` as raw storage elements in the one
+  /// strip order every ghost message uses — q outer, then z, y, x —
+  /// `box.volume() * f.q()` elements.  The patch runtime packs its ghost
+  /// strips with the same pair, so both ends agree whichever backend each
+  /// block runs.
+  template <class S>
+  static void packStrip(const PopulationFieldT<S>& f, const Box3& box,
+                        S* out) {
+    std::size_t k = 0;
+    for (int q = 0; q < f.q(); ++q)
+      for (int z = box.lo.z; z < box.hi.z; ++z)
+        for (int y = box.lo.y; y < box.hi.y; ++y)
+          for (int x = box.lo.x; x < box.hi.x; ++x) out[k++] = f.raw(q, x, y, z);
+  }
+
+  /// Inverse of packStrip: deposit the elements of `in` into `box` of `f`.
+  template <class S>
+  static void unpackStrip(PopulationFieldT<S>& f, const Box3& box,
+                          const S* in) {
+    std::size_t k = 0;
+    for (int q = 0; q < f.q(); ++q)
+      for (int z = box.lo.z; z < box.hi.z; ++z)
+        for (int y = box.lo.y; y < box.hi.y; ++y)
+          for (int x = box.lo.x; x < box.hi.x; ++x) f.raw(q, x, y, z) = in[k++];
   }
 
   /// Reverse halo exchange for the esoteric single-buffer scheme, run
@@ -209,8 +220,8 @@ class HaloExchange {
 
   /// One planned ghost link, exposed so the patch runtime (runtime/patches)
   /// can reuse the exchange plan — boxes in local coordinates, tags in the
-  /// forward tag space 0..8 — without going through Comm.  Pack order is
-  /// the same as exchange(): q outer, then z, y, x.
+  /// forward tag space 0..8 — without going through Comm.  Strips travel
+  /// in packStrip order.
   struct Link {
     int peer = -1;       // neighbour id in the planning decomposition
     int dx = 0, dy = 0;  // direction from this block to the peer

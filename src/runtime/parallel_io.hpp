@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "core/macroscopic.hpp"
 #include "io/checkpoint.hpp"
 #include "io/vtk.hpp"
 #include "obs/context.hpp"
@@ -96,8 +95,8 @@ void save_group_checkpoint(DistributedSolver<D, S>& solver,
                            const std::string& prefix) {
   obs::TraceScope saveScope("checkpoint.group_save");
   Comm& comm = solver.comm();
-  io::save_checkpoint(group_checkpoint_path(prefix, comm.rank()), solver.f(),
-                      solver.stepsDone(), solver.parity());
+  io::save_checkpoint(group_checkpoint_path(prefix, comm.rank()),
+                      solver.block());
   comm.barrier();  // every block durable before the manifest commits them
   if (comm.rank() == 0) {
     const std::string path = group_manifest_path(prefix);
@@ -147,10 +146,8 @@ void load_group_checkpoint(DistributedSolver<D, S>& solver,
                 std::to_string(m.ranks) + " ranks, live " +
                 std::to_string(comm.size()) + ")");
   }
-  const io::CheckpointMeta meta = io::read_checkpoint_meta(
-      group_checkpoint_path(prefix, comm.rank()));
-  solver.restoreState(meta.steps, meta.parity);
-  io::load_checkpoint(group_checkpoint_path(prefix, comm.rank()), solver.f());
+  io::load_checkpoint(group_checkpoint_path(prefix, comm.rank()),
+                      solver.block());
   comm.barrier();
 }
 
@@ -309,25 +306,21 @@ void gather_macroscopic(DistributedSolver<D, S>& solver, int root,
                         ScalarField& rhoOut, VectorField& uOut) {
   Comm& comm = solver.comm();
   const Grid& lg = solver.localGrid();
-  // Local macroscopic block, packed (rho, ux, uy, uz) per cell.
+  // Local macroscopic block (read through the block, so an in-place
+  // backend's rotated phase decodes), packed (rho, ux, uy, uz) per cell.
+  ScalarField rho(lg);
+  VectorField u(lg);
+  solver.block().computeMacroscopic(rho, u);
   std::vector<Real> buf(lg.interiorVolume() * 4);
   std::size_t k = 0;
   for (int z = 0; z < lg.nz; ++z)
     for (int y = 0; y < lg.ny; ++y)
       for (int x = 0; x < lg.nx; ++x) {
-        Real rho = 0;
-        Vec3 u{0, 0, 0};
-        const Material& m = solver.materials()[solver.mask()(x, y, z)];
-        if (is_pullable(m.cls)) {
-          cell_macroscopic<D>(solver.f(), x, y, z, solver.collision(), rho, u);
-        } else {
-          rho = m.rho;
-          u = m.u;
-        }
-        buf[k++] = rho;
-        buf[k++] = u.x;
-        buf[k++] = u.y;
-        buf[k++] = u.z;
+        const Vec3 v = u.at(x, y, z);
+        buf[k++] = rho(x, y, z);
+        buf[k++] = v.x;
+        buf[k++] = v.y;
+        buf[k++] = v.z;
       }
 
   // Variable-size gatherv over the collective layer: receives are posted

@@ -15,10 +15,12 @@
 // migrated run is bit-identical to an unmigrated one.
 //
 // PatchSolver is the distributed runtime's patch-aware mode: it reuses
-// Decomposition for the patch grid, HaloExchange's planned links for the
-// per-patch ghost strips (intra-rank faces become local copies, inter-rank
-// faces become tagged messages), and the same fused pull kernel — which
-// is why every patch layout is bit-identical to the monolithic solver.
+// Decomposition for the patch grid, HaloExchange's planned links and
+// strip pack order for the per-patch ghost strips (intra-rank faces
+// become local copies, inter-rank faces become tagged messages), and runs
+// every patch on a swlb::Solver block with the same sweep as the
+// monolithic solver — which is why every patch layout is bit-identical to
+// it.
 #pragma once
 
 #include <chrono>
@@ -27,8 +29,6 @@
 #include <optional>
 
 #include "coll/coll.hpp"
-#include "core/backends.hpp"
-#include "core/kernels.hpp"
 #include "core/solver.hpp"
 #include "obs/context.hpp"
 #include "runtime/halo.hpp"
@@ -91,10 +91,11 @@ class PatchLayout {
   std::vector<int> order_;
 };
 
-/// Patch-aware distributed solver (fused pull kernel, A-B parity).  Each
-/// rank owns the patches the layout assigns it; ghost strips between
-/// patches on the same rank are local copies, strips crossing ranks ride
-/// tagged messages with HaloExchange's own link plan and pack order.
+/// Patch-aware distributed solver (two-lattice backends, A-B parity).
+/// Each rank owns the patches the layout assigns it, one Solver block
+/// each; ghost strips between patches on the same rank are local copies,
+/// strips crossing ranks ride tagged messages with HaloExchange's own
+/// link plan and pack order.
 template <class D, class S = Real>
 class PatchSolver {
  public:
@@ -154,7 +155,6 @@ class PatchSolver {
   Comm& comm() { return comm_; }
   const PatchLayout& layout() const { return layout_; }
   MaterialTable& materials() { return mats_; }
-  CollisionConfig& collision() { return cfg_.collision; }
   /// The replicated global mask (paint before finalizeMask; every rank
   /// must paint identically — same contract as a collective).
   MaskField& globalMask() { return globalMask_; }
@@ -208,20 +208,11 @@ class PatchSolver {
   /// (same contract as DistributedSolver::initField).
   void initField(const std::function<void(int, int, int, Real&, Vec3&)>& fn) {
     if (!maskFinal_) finalizeMask();
-    Real feq[D::Q];
     for (auto& [id, p] : patches_) {
-      for (int z = -1; z <= p.grid.nz; ++z)
-        for (int y = -1; y <= p.grid.ny; ++y)
-          for (int x = -1; x <= p.grid.nx; ++x) {
-            Real rho = 1;
-            Vec3 u{0, 0, 0};
-            fn(x + p.box.lo.x, y + p.box.lo.y, z + p.box.lo.z, rho, u);
-            equilibria<D>(rho, u, feq);
-            for (int i = 0; i < D::Q; ++i) {
-              p.f[0](i, x, y, z) = feq[i];
-              p.f[1](i, x, y, z) = feq[i];
-            }
-          }
+      const Int3 lo = p.box.lo;
+      p.block.initField([&](int x, int y, int z, Real& rho, Vec3& u) {
+        fn(x + lo.x, y + lo.y, z + lo.z, rho, u);
+      });
     }
   }
 
@@ -240,9 +231,7 @@ class PatchSolver {
       // exchange so ghost strips carry valid z-halo rows (halo.hpp
       // contract).
       obs::TraceScope zScope("z_wrap");
-      for (auto& [id, p] : patches_)
-        apply_periodic(p.f[parity_],
-                       Periodicity{false, false, cfg_.periodic.z});
+      for (auto& [id, p] : patches_) p.block.wrapHalo();
     }
     {
       obs::TraceScope exScope("patch.exchange");
@@ -252,15 +241,8 @@ class PatchSolver {
       obs::TraceScope computeScope("patch.compute");
       for (auto& [id, p] : patches_) {
         const auto t0 = std::chrono::steady_clock::now();
-        BackendStepArgs<D, S> args;
-        args.src = &p.f[parity_];
-        args.dst = &p.f[1 - parity_];
-        args.mask = &p.mask;
-        args.mats = &mats_;
-        args.cfg = &cfg_.collision;
-        args.range = p.grid.interior();
-        args.periodic = Periodicity{false, false, cfg_.periodic.z};
-        p.backend->run(args, cfg_.hostThreads);
+        p.block.sweep(p.block.grid().interior());
+        p.block.advance();
         const double dt =
             std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                           t0)
@@ -349,11 +331,12 @@ class PatchSolver {
     std::vector<Real> local(localCellCount() * D::Q);
     std::size_t k = 0;
     for (const auto& [id, p] : patches_) {
-      const Field& f = p.f[parity_];
+      const Grid& g = p.block.grid();
       for (int q = 0; q < D::Q; ++q)
-        for (int z = 0; z < p.grid.nz; ++z)
-          for (int y = 0; y < p.grid.ny; ++y)
-            for (int x = 0; x < p.grid.nx; ++x) local[k++] = f(q, x, y, z);
+        for (int z = 0; z < g.nz; ++z)
+          for (int y = 0; y < g.ny; ++y)
+            for (int x = 0; x < g.nx; ++x)
+              local[k++] = p.block.population(q, x, y, z);
     }
     std::vector<std::size_t> counts(static_cast<std::size_t>(comm_.size()),
                                     0);
@@ -391,20 +374,18 @@ class PatchSolver {
   struct PatchState {
     int id = -1;
     Box3 box;  // global coordinates
-    Grid grid;
-    Field f[2];
-    MaskField mask;
+    /// The patch's block: buffers, padded mask, parity and its own backend
+    /// instance (rebuilt from the replicated Config plan on migration —
+    /// backend state never travels).
+    Solver<D, S> block;
     std::vector<HaloExchange::Link> links;
     std::vector<std::vector<std::uint8_t>> sendBufs, recvBufs;
     std::vector<Request> pending;
-    /// This patch's kernel backend instance (rebuilt from the replicated
-    /// Config plan on migration — backend state never travels).
-    std::unique_ptr<KernelBackend<D, S>> backend;
     double ema = 0;  // measured step-seconds EMA (travels on migration)
     bool emaInit = false;
 
-    PatchState(int id_, const Box3& box_, const Grid& grid_)
-        : id(id_), box(box_), grid(grid_), mask(grid_, MaterialTable::kFluid) {}
+    PatchState(int id_, const Box3& box_, Solver<D, S> block_)
+        : id(id_), box(box_), block(std::move(block_)) {}
   };
 
   // Ghost-message tags: disjoint from HaloExchange's forward (0..8) and
@@ -432,20 +413,34 @@ class PatchSolver {
     return globalMask_(x, y, z);
   }
 
+  /// A patch block at the solver's current step and parity, its padded
+  /// mask (interior and ghost ring) copied from the replicated global
+  /// mask.  Only the initial populations are left to the caller.
   PatchState buildPatch(int id) const {
     const Box3 box = layout_.boxOf(id);
     const Grid grid(box.hi.x - box.lo.x, box.hi.y - box.lo.y,
                     box.hi.z - box.lo.z);
-    PatchState p(id, box, grid);
-    for (int z = -1; z <= grid.nz; ++z)
-      for (int y = -1; y <= grid.ny; ++y)
-        for (int x = -1; x <= grid.nx; ++x)
-          p.mask(x, y, z) =
-              maskAt(x + box.lo.x, y + box.lo.y, z + box.lo.z);
-    p.f[0] = Field(grid, D::Q);
-    p.f[1] = Field(grid, D::Q);
-    p.f[0].setShift(D::w);
-    p.f[1].setShift(D::w);
+    PatchState p(id, box,
+                 Solver<D, S>(grid, cfg_.collision,
+                              Periodicity{false, false, cfg_.periodic.z}));
+    Solver<D, S>& b = p.block;
+    b.materials() = mats_;
+    b.setBackend(patchBackendName(id));
+    b.setHostThreads(cfg_.hostThreads);
+    b.restoreState(steps_, parity_);
+    auto copyMask = [&] {
+      for (int z = -1; z <= grid.nz; ++z)
+        for (int y = -1; y <= grid.ny; ++y)
+          for (int x = -1; x <= grid.nx; ++x)
+            b.mask()(x, y, z) =
+                maskAt(x + box.lo.x, y + box.lo.y, z + box.lo.z);
+    };
+    // Before finalizeMask so the backend validates the real interior, and
+    // again after it to restore the ghost ring its fill_halo_mask walls
+    // off (KernelBackend::init reads interior cells only).
+    copyMask();
+    b.finalizeMask();
+    copyMask();
     // Reuse HaloExchange's plan over the patch-grid decomposition: patch
     // ids play the rank role, boxes/tags come out in the forward space.
     HaloExchange plan(layout_.decomposition(), id, cfg_.periodic, grid);
@@ -453,8 +448,6 @@ class PatchSolver {
     p.sendBufs.resize(p.links.size());
     p.recvBufs.resize(p.links.size());
     p.pending.resize(p.links.size());
-    p.backend = make_backend<D, S>(patchBackendName(id));
-    p.backend->init(grid, p.mask, mats_);
     return p;
   }
 
@@ -491,12 +484,10 @@ class PatchSolver {
                         buf.size());
       }
     }
-    // Pack + send inter-rank strips.  The sender's backend serializes in
-    // the HaloExchange pack order (q, z, y, x) — the packHalo/unpackHalo
-    // contract both ends agree on even when the two patches run
-    // different backends.
+    // Pack + send inter-rank strips in HaloExchange's strip order — one
+    // order for every block, whichever backend the two patches run.
     for (auto& [id, p] : patches_) {
-      const Field& src = p.f[parity_];
+      const Field& src = p.block.f();
       for (std::size_t li = 0; li < p.links.size(); ++li) {
         const auto& l = p.links[li];
         const int peerRank = owners_[static_cast<std::size_t>(l.peer)];
@@ -504,17 +495,18 @@ class PatchSolver {
         auto& buf = p.sendBufs[li];
         buf.resize(static_cast<std::size_t>(l.sendBox.volume()) * q *
                    sizeof(S));
-        p.backend->packHalo(src, l.sendBox, reinterpret_cast<S*>(buf.data()));
+        HaloExchange::packStrip(src, l.sendBox,
+                                reinterpret_cast<S*>(buf.data()));
         comm_.isend(peerRank, ghostTag(l.peer, l.sendTag), buf.data(),
                     buf.size());
       }
     }
     // Intra-rank faces: pack the owned peer's send strip (mirrored link,
-    // identical extents) through its backend and unpack into our halo
-    // through ours.  Reads touch interior columns only, writes touch halo
-    // cells only, so order between links cannot interfere.
+    // identical extents) and unpack it into our halo.  Reads touch
+    // interior columns only, writes touch halo cells only, so order
+    // between links cannot interfere.
     for (auto& [id, p] : patches_) {
-      Field& dst = p.f[parity_];
+      Field& dst = p.block.f();
       for (const auto& l : p.links) {
         if (owners_[static_cast<std::size_t>(l.peer)] != me) continue;
         const PatchState& peer = patches_.at(l.peer);
@@ -527,19 +519,19 @@ class PatchSolver {
         SWLB_ASSERT(ml && ml->peer == id);
         localStrip_.resize(static_cast<std::size_t>(ml->sendBox.volume()) *
                            static_cast<std::size_t>(q));
-        peer.backend->packHalo(peer.f[parity_], ml->sendBox,
-                               localStrip_.data());
-        p.backend->unpackHalo(dst, l.recvBox, localStrip_.data());
+        HaloExchange::packStrip(peer.block.f(), ml->sendBox,
+                                localStrip_.data());
+        HaloExchange::unpackStrip(dst, l.recvBox, localStrip_.data());
       }
     }
     // Wait for and unpack the inter-rank strips.
     for (auto& [id, p] : patches_) {
-      Field& dst = p.f[parity_];
+      Field& dst = p.block.f();
       for (std::size_t li = 0; li < p.links.size(); ++li) {
         const auto& l = p.links[li];
         if (owners_[static_cast<std::size_t>(l.peer)] == me) continue;
         p.pending[li].wait();
-        p.backend->unpackHalo(
+        HaloExchange::unpackStrip(
             dst, l.recvBox,
             reinterpret_cast<const S*>(p.recvBufs[li].data()));
       }
@@ -562,15 +554,16 @@ class PatchSolver {
   /// Apply a move plan: senders ship the current-parity buffer verbatim
   /// (raw storage elements — the same bytes a checkpoint would carry)
   /// plus the patch's measured EMA; receivers rebuild the patch locally
-  /// and drop the payload in.  Every rank applies the same plan, so the
-  /// owner table stays replicated.
+  /// (at the current step and parity, so the payload lands in the buffer
+  /// that is current) and drop the payload in.  Every rank applies the
+  /// same plan, so the owner table stays replicated.
   void migrate(const std::vector<PatchLayout::Move>& moves) {
     const int me = comm_.rank();
     for (const auto& m : moves) {
       if (m.from == me) {
-        PatchState& p = patches_.at(m.patch);
-        comm_.isend(m.to, kMigrateTagBase + 2 * m.patch,
-                    p.f[parity_].data(), p.f[parity_].bytes());
+        const PatchState& p = patches_.at(m.patch);
+        const Field& f = p.block.f();
+        comm_.isend(m.to, kMigrateTagBase + 2 * m.patch, f.data(), f.bytes());
         const double ema = p.emaInit ? p.ema : 0.0;
         comm_.send(m.to, kMigrateTagBase + 2 * m.patch + 1, &ema,
                    sizeof(ema));
@@ -580,14 +573,14 @@ class PatchSolver {
         auto [it, inserted] = patches_.emplace(m.patch, buildPatch(m.patch));
         SWLB_ASSERT(inserted);
         PatchState& p = it->second;
-        comm_.recv(m.from, kMigrateTagBase + 2 * m.patch,
-                   p.f[parity_].data(), p.f[parity_].bytes());
+        Field& f = p.block.f();
+        comm_.recv(m.from, kMigrateTagBase + 2 * m.patch, f.data(), f.bytes());
         double ema = 0;
         comm_.recv(m.from, kMigrateTagBase + 2 * m.patch + 1, &ema,
                    sizeof(ema));
         p.ema = ema;
         p.emaInit = ema > 0;
-        obs::count("patch.migrated_bytes", p.f[parity_].bytes());
+        obs::count("patch.migrated_bytes", f.bytes());
       }
       owners_[static_cast<std::size_t>(m.patch)] = m.to;
     }

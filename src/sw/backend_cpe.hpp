@@ -2,8 +2,8 @@
 //
 // sw_stream_collide is a whole-block kernel: the core group partitions
 // the block along y over 64 CPEs and sweeps everything, so the backend
-// advertises caps.subRange = false — DistributedSolver then forces the
-// Sequential halo schedule instead of silently mis-running the overlap
+// advertises caps.subRange = false — DistributedSolver then rejects the
+// Overlap halo schedule instead of silently mis-running its inner/shell
 // split, and the host-thread executor hands it the whole block in one
 // call at any thread count.  Output stays bit-identical to the fused reference
 // (the emulator computes with the same per-cell arithmetic; test_sw_

@@ -396,21 +396,48 @@ TEST(DistributedSolverApi, RejectsNonDistributedBackends) {
   }
 }
 
-TEST(DistributedSolverApi, SubRangeLessBackendForcesSequentialHalo) {
-  // swcpe updates the whole block per call (caps.subRange = false), so an
-  // Overlap request must degrade to the Sequential schedule explicitly
-  // rather than mis-running the inner/shell split.
-  World world(2);
-  world.run([](Comm& c) {
-    typename DistributedSolver<D2Q9>::Config cfg;
-    cfg.global = {8, 8, 1};
-    cfg.backend = "swcpe";
-    cfg.mode = HaloMode::Overlap;
-    cfg.periodic = {true, true, false};
-    DistributedSolver<D2Q9> solver(c, cfg);
-    EXPECT_EQ(solver.haloMode(), HaloMode::Sequential);
-    EXPECT_EQ(solver.backendName(), "swcpe");
-  });
+TEST(DistributedSolverApi, OverlapRejectsBackendsThatCannotSplitTheSweep) {
+  // swcpe updates the whole block per call (caps.subRange = false) and
+  // esoteric streams in place (its even sweep must precede its own
+  // reverse exchange), so neither can run the Overlap inner/shell split.
+  // An Overlap request throws, naming the capability; Sequential
+  // constructs and steps.
+  struct Case {
+    const char* backend;
+    const char* capability;
+  };
+  for (const Case& tc : {Case{"swcpe", "subRange"},
+                         Case{"esoteric", "inPlaceStreaming"}}) {
+    SCOPED_TRACE(tc.backend);
+    for (HaloMode mode : {HaloMode::Overlap, HaloMode::Sequential}) {
+      World world(2);
+      world.run([&](Comm& c) {
+        typename DistributedSolver<D2Q9>::Config cfg;
+        cfg.global = {8, 8, 1};
+        cfg.backend = tc.backend;
+        cfg.mode = mode;
+        cfg.periodic = {true, true, false};
+        if (mode == HaloMode::Overlap) {
+          try {
+            DistributedSolver<D2Q9> solver(c, cfg);
+            ADD_FAILURE() << "Overlap accepted backend " << tc.backend;
+          } catch (const Error& e) {
+            EXPECT_NE(std::string(e.what()).find(tc.capability),
+                      std::string::npos)
+                << e.what();
+          }
+          return;
+        }
+        DistributedSolver<D2Q9> solver(c, cfg);
+        EXPECT_EQ(solver.backendName(), tc.backend);
+        solver.finalizeMask();
+        solver.initUniform(1.0, {0.01, 0, 0});
+        solver.run(2);
+        EXPECT_EQ(solver.stepsDone(), 2u);
+        EXPECT_TRUE(solver.populationsFinite());
+      });
+    }
+  }
 }
 
 }  // namespace

@@ -117,6 +117,9 @@ void esotericMatchesFused(int nx, uint32_t seed, int steps) {
           }
       }
   EXPECT_EQ(bad, 0);
+  // Obstacle forces read the same decoded populations (odd phases too).
+  EXPECT_EQ(ref.force(MaterialTable::kSolid), eso.force(MaterialTable::kSolid));
+  EXPECT_EQ(ref.force(wall), eso.force(wall));
 }
 
 TEST(InPlaceStreaming, EsotericBitIdenticalAcrossExtentsAndMasks) {
