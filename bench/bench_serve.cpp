@@ -138,7 +138,7 @@ int main(int argc, char** argv) {
       for (int j = 0; j < opt.jobs; ++j) {
         WireMap req;
         req["op"] = WireValue::ofString("submit");
-        req["tenant"] = WireValue::ofString("t" + std::to_string(c));
+        req["tenant"] = WireValue::ofString(std::to_string(c).insert(0, 1, 't'));
         req["steps"] = WireValue::ofNumber(opt.steps);
         req["cfg.case"] = WireValue::ofString("cavity");
         req["cfg.nx"] = WireValue::ofString("12");

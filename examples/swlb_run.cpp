@@ -8,11 +8,10 @@
 //        swlb_run --demo [--trace out.json] [--tune] [...]
 //
 // --backend NAME selects the stream/collide backend from the registry
-// (DESIGN.md §14: fused, generic, twostep, push, esoteric, swcpe) on
-// every path — single-rank, --ranks and --patches.  An unknown name or a
-// capability conflict (e.g. an in-place backend under --patches) is an
-// explicit error, never a silent fallback.  The flag overrides the tuned
-// plan's pick.
+// (DESIGN.md §14: fused, esoteric, swcpe) on every path — single-rank,
+// --ranks and --patches.  An unknown name or a capability conflict (e.g.
+// an in-place backend under --patches) is an explicit error, never a
+// silent fallback.  The flag overrides the tuned plan's pick.
 //
 // --ranks N runs the case on the N-rank distributed runtime (cavity only
 // in this driver) under the resilient driver; --max-shrinks K additionally

@@ -1,7 +1,9 @@
 #include "app/cases.hpp"
 
 #include <cmath>
+#include <limits>
 #include <numbers>
+#include <string>
 
 #include "mesh/urban.hpp"
 #include "mesh/voxelizer.hpp"
@@ -42,9 +44,15 @@ CollisionConfig collision_from_config(const Config& cfg) {
 namespace {
 
 Int3 sizeFrom(const Config& cfg, int dx, int dy, int dz) {
-  return {static_cast<int>(cfg.getInt("nx", dx)),
-          static_cast<int>(cfg.getInt("ny", dy)),
-          static_cast<int>(cfg.getInt("nz", dz))};
+  // An extent outside [1, INT_MAX] is a named error, not an empty grid.
+  auto extent = [&](const char* key, int fallback) {
+    const long n = cfg.getInt(key, fallback);
+    if (n < 1 || n > std::numeric_limits<int>::max())
+      throw Error(std::string("config: ") + key + " = " + std::to_string(n) +
+                  " is not a cell count in [1, INT_MAX]");
+    return static_cast<int>(n);
+  };
+  return {extent("nx", dx), extent("ny", dy), extent("nz", dz)};
 }
 
 Case buildCavity(const Config& cfg) {
@@ -67,6 +75,10 @@ Case buildChannel(const Config& cfg) {
   c.name = "channel";
   const Real g = cfg.getReal("body_force", 1e-6);
   CollisionConfig col = collision_from_config(cfg);
+  // Guo forcing exists on the BGK path only; TRT/MRT would drop it.
+  if (col.op != CollisionOp::BGK)
+    throw Error("config: the channel case's body force requires the BGK "
+                "operator");
   col.bodyForce = {g, 0, 0};
   c.solver = std::make_unique<Solver<D3Q19>>(Grid(n.x, n.y, n.z), col,
                                              Periodicity{true, false, true});

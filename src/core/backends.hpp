@@ -5,7 +5,8 @@
 // for the lattices its kernel is instantiated for.  Solvers obtain
 // instances through make_backend<D, S>(name); unknown names throw with
 // the registered list — requesting a backend never silently degrades to
-// another one.
+// another one.  The ablation kernels (generic pull, two-step, push) are
+// not backends: tests and bench_kernels call them as plain functions.
 #pragma once
 
 #include <functional>
@@ -18,27 +19,10 @@
 
 namespace swlb {
 
-namespace detail {
-
-/// CRTP-free helper: backends that only differ in which kernel function
-/// they call share everything else through this base.
 template <class D, class S>
-class TwoLatticeBackend : public KernelBackend<D, S> {
+class FusedBackend final : public KernelBackend<D, S> {
  public:
-  explicit TwoLatticeBackend(const char* name)
-      : info_(*find_backend_info(name)) {}
-  const BackendInfo& info() const override { return info_; }
-
- private:
-  const BackendInfo& info_;
-};
-
-}  // namespace detail
-
-template <class D, class S>
-class FusedBackend final : public detail::TwoLatticeBackend<D, S> {
- public:
-  FusedBackend() : detail::TwoLatticeBackend<D, S>("fused") {}
+  FusedBackend() : KernelBackend<D, S>("fused") {}
 
  protected:
   void step(const BackendStepArgs<D, S>& a) override {
@@ -47,56 +31,16 @@ class FusedBackend final : public detail::TwoLatticeBackend<D, S> {
   }
 };
 
-template <class D, class S>
-class GenericBackend final : public detail::TwoLatticeBackend<D, S> {
- public:
-  GenericBackend() : detail::TwoLatticeBackend<D, S>("generic") {}
-
- protected:
-  void step(const BackendStepArgs<D, S>& a) override {
-    stream_collide_generic<D>(*a.src, *a.dst, *a.mask, *a.mats, *a.cfg,
-                              a.range);
-  }
-};
-
-template <class D, class S>
-class TwoStepBackend final : public detail::TwoLatticeBackend<D, S> {
- public:
-  TwoStepBackend() : detail::TwoLatticeBackend<D, S>("twostep") {}
-
- protected:
-  void step(const BackendStepArgs<D, S>& a) override {
-    stream_only<D>(*a.src, *a.dst, *a.mask, *a.mats, a.range);
-    collide_inplace<D>(*a.dst, *a.mask, *a.mats, *a.cfg, a.range);
-  }
-};
-
-template <class D, class S>
-class PushBackend final : public detail::TwoLatticeBackend<D, S> {
- public:
-  PushBackend() : detail::TwoLatticeBackend<D, S>("push") {}
-
- protected:
-  void step(const BackendStepArgs<D, S>& a) override {
-    stream_collide_push<D>(*a.src, *a.dst, *a.mask, *a.mats, *a.cfg, a.range,
-                           a.periodic);
-  }
-};
-
-/// In-place Esoteric-Pull backend: implements the even/odd phase pair,
-/// two-lattice step() is rejected (callers branch on
+/// In-place Esoteric-Pull backend: implements the even/odd phase pair and
+/// keeps the throwing two-lattice step() (callers branch on
 /// caps.inPlaceStreaming, so reaching it is a solver bug).
 template <class D, class S>
-class EsotericBackend final : public detail::TwoLatticeBackend<D, S> {
+class EsotericBackend final : public KernelBackend<D, S> {
  public:
   using Field = PopulationFieldT<S>;
-  EsotericBackend() : detail::TwoLatticeBackend<D, S>("esoteric") {}
+  EsotericBackend() : KernelBackend<D, S>("esoteric") {}
 
  protected:
-  void step(const BackendStepArgs<D, S>&) override {
-    throw Error("backend 'esoteric' streams in place; use the "
-                "stepInPlaceEven/Odd hooks");
-  }
   void stepInPlaceEven(Field& f, const MaskField& mask,
                        const MaterialTable& mats, const CollisionConfig& cfg,
                        const Box3& range) override {
@@ -153,9 +97,6 @@ class BackendRegistry {
  private:
   BackendRegistry() {
     add("fused", [] { return std::make_unique<FusedBackend<D, S>>(); });
-    add("generic", [] { return std::make_unique<GenericBackend<D, S>>(); });
-    add("twostep", [] { return std::make_unique<TwoStepBackend<D, S>>(); });
-    add("push", [] { return std::make_unique<PushBackend<D, S>>(); });
     add("esoteric", [] { return std::make_unique<EsotericBackend<D, S>>(); });
     // The CPE kernel is explicitly instantiated for D3Q19/D2Q9 only
     // (sw/sw_kernels.cpp); other lattices must get the not-registered

@@ -100,11 +100,12 @@ class TeamPool {
         seen = epoch_;
         if (index < active_) job = job_;
       }
-      if (job) (*job)(index);
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        if (index < active_ && --pending_ == 0) cvDone_.notify_all();
-      }
+      // Only a lane of the round it joined counts down: re-reading
+      // active_ here would let an idle extra count down the next round.
+      if (!job) continue;
+      (*job)(index);
+      std::unique_lock<std::mutex> lock(mu_);
+      if (--pending_ == 0) cvDone_.notify_all();
     }
   }
 

@@ -183,15 +183,9 @@ class Solver {
                                 hostThreads_);
       return;
     }
-    BackendStepArgs<D, S> args;
-    args.src = &f_[parity_];
-    args.dst = &f_[1 - parity_];
-    args.mask = &mask_;
-    args.mats = &mats_;
-    args.cfg = &cfg_;
-    args.range = range;
-    args.periodic = periodic_;
-    backend_->run(args, hostThreads_);
+    backend_->run(BackendStepArgs<D, S>{&f_[parity_], &f_[1 - parity_], &mask_,
+                                        &mats_, &cfg_, range},
+                  hostThreads_);
   }
 
   /// After an even in-place sweep: fold the outward scatter that landed in
@@ -233,10 +227,13 @@ class Solver {
   /// True once finalizeMask() has run.
   bool maskFinalized() const { return maskFinal_; }
   /// Restore step counter and A-B parity (checkpoint restart).  In-place
-  /// checkpoints must be cut at an even phase (natural layout).
+  /// checkpoints must be cut at an even phase (natural layout).  Throws,
+  /// leaving the solver as it was, on any other parity.
   void restoreState(std::uint64_t steps, int parity) {
-    SWLB_ASSERT(parity == 0 || parity == 1);
-    SWLB_ASSERT(!inPlace() || parity == 0);
+    if (parity != 0 && (parity != 1 || inPlace()))
+      throw Error("restore: parity " + std::to_string(parity) +
+                  " is not one backend '" + backendName() +
+                  "' restores (0 or 1; 0 only when streaming in place)");
     steps_ = steps;
     parity_ = parity;
   }

@@ -1,5 +1,6 @@
 #include "io/checkpoint.hpp"
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -40,6 +41,20 @@ Header readHeader(std::ifstream& in, const std::string& path) {
   if (h.version != kCheckpointVersion)
     throw Error("checkpoint: unsupported version " + std::to_string(h.version));
   return h;
+}
+
+/// True when payloadBytes is exactly the padded volume x Q x element
+/// width the header declares: a division chain, so nothing can overflow.
+bool payloadFitsHeader(const Header& h) {
+  if (h.precision != 64 && h.precision != 32 && h.precision != 16) return false;
+  const std::int64_t pad = 2 * std::int64_t{h.halo};
+  std::uint64_t rest = h.payloadBytes;
+  for (const std::int64_t n : {std::int64_t{h.precision / 8}, std::int64_t{h.q},
+                               h.nx + pad, h.ny + pad, h.nz + pad}) {
+    if (n <= 0 || rest % static_cast<std::uint64_t>(n) != 0) return false;
+    rest /= static_cast<std::uint64_t>(n);
+  }
+  return rest == 1;
 }
 
 CheckpointMeta toMeta(const Header& h) {
@@ -130,11 +145,21 @@ void write_checkpoint_file(const std::string& path, const void* payload,
 }
 
 RawCheckpoint read_checkpoint_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) throw Error("checkpoint: cannot open '" + path + "'");
+  const auto fileSize = static_cast<std::uint64_t>(in.tellg());
+  in.seekg(0);
   const Header h = readHeader(in, path);
   if (h.q <= 0 || h.q > 64)
     throw Error("checkpoint: implausible Q in '" + path + "'");
+  // Check the payload size against the header and the file before
+  // allocating it.
+  const std::uint64_t lead = sizeof(Header) + h.q * sizeof(double);
+  if (!payloadFitsHeader(h))
+    throw Error("checkpoint: payload size does not match the header of '" +
+                path + "'");
+  if (h.payloadBytes > (fileSize > lead ? fileSize - lead : 0))
+    throw Error("checkpoint: truncated payload in '" + path + "'");
   RawCheckpoint raw;
   raw.meta = toMeta(h);
   raw.shift.resize(static_cast<std::size_t>(h.q));

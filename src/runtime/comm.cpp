@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <exception>
 #include <map>
@@ -313,6 +314,8 @@ void Comm::recv(int src, int tag, void* data, std::size_t bytes,
 
 void Comm::sendChecksummed(int dst, int tag, const void* data,
                            std::size_t bytes) {
+  if (bytes > SIZE_MAX - sizeof(std::uint64_t))
+    throw Error("Comm::sendChecksummed: no room for the checksum frame");
   std::vector<std::uint8_t> frame(bytes + sizeof(std::uint64_t));
   if (bytes > 0) std::memcpy(frame.data(), data, bytes);
   const std::uint64_t h = fnv1a_hash(data, bytes);

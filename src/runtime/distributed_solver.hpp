@@ -47,10 +47,8 @@ class DistributedSolver {
     /// Process grid; {0,0,0} selects Decomposition::choose(comm.size()).
     Int3 procGrid{0, 0, 0};
     /// Stream/collide backend by registry name (core/backend.hpp).
-    /// Backends without caps.distributed (twostep, push) are rejected at
-    /// construction.  In-place backends (esoteric) free the second
-    /// buffer and only communicate on even steps (halved exchange
-    /// frequency).
+    /// In-place backends (esoteric) free the second buffer and only
+    /// communicate on even steps (halved exchange frequency).
     std::string backend = "fused";
     /// Host threads each caps.subRange backend call is split across
     /// (<= 0 = one per hardware core; see Solver::setHostThreads).
@@ -73,10 +71,6 @@ class DistributedSolver {
     block_.setBackend(cfg_.backend);
     block_.setHostThreads(cfg_.hostThreads);
     const BackendCaps& caps = block_.backend().info().caps;
-    if (!caps.distributed)
-      throw Error("DistributedSolver: backend '" + cfg_.backend +
-                  "' is a single-rank ablation baseline (capability "
-                  "'distributed' is off)");
     if (cfg_.mode == HaloMode::Overlap &&
         (!caps.subRange || caps.inPlaceStreaming))
       throw Error("DistributedSolver: backend '" + cfg_.backend +

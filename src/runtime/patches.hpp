@@ -454,17 +454,11 @@ class PatchSolver {
   /// Reject names the patch runtime cannot drive — explicitly, with the
   /// capability that failed, never by substituting another backend.
   void validateBackendName(const std::string& name) const {
-    const BackendInfo* info = find_backend_info(name);
-    if (!info || !BackendRegistry<D, S>::instance().has(name))
-      (void)make_backend<D, S>(name);  // throws the registered-list error
-    if (info->caps.inPlaceStreaming)
+    // make_backend throws the registered-list error on an unknown name.
+    if (make_backend<D, S>(name)->info().caps.inPlaceStreaming)
       throw Error("PatchSolver: backend '" + name +
                   "' streams in place (capability 'inPlaceStreaming'); "
                   "patch ghost exchange needs the two-lattice A-B contract");
-    if (!info->caps.distributed)
-      throw Error("PatchSolver: backend '" + name +
-                  "' is a single-rank ablation baseline (capability "
-                  "'distributed' is off)");
   }
 
   void exchangeGhosts() {

@@ -24,6 +24,18 @@ WireMap event(const char* name) {
   return m;
 }
 
+/// Field `key` as an integer in [lo, 2^53] (exact in a wire double); any
+/// other value throws, naming the key, before it is converted.
+std::uint64_t wire_integer(const WireMap& req, const std::string& key,
+                           int lo, const char* op) {
+  constexpr double kMax = 9007199254740992.0;  // 2^53
+  const double v = wire_number(req, key);
+  if (!(v >= lo && v <= kMax) || v != std::floor(v))
+    throw Error(std::string(op) + ": '" + key + "' must be an integer in [" +
+                std::to_string(lo) + ", 2^53]");
+  return static_cast<std::uint64_t>(v);
+}
+
 }  // namespace
 
 // ---- Session -----------------------------------------------------------
@@ -219,13 +231,12 @@ void Server::dispatch(Session& s, const std::string& line) {
 void Server::handleSubmit(Session& s, const WireMap& req) {
   JobSpec spec;
   spec.tenant = wire_string(req, "tenant", "default");
-  spec.priority = std::clamp(
-      static_cast<int>(wire_number(req, "priority", 1)), 1,
-      JobSpec::kMaxPriority);
-  const double steps = wire_number(req, "steps");
-  if (!(steps >= 1) || steps != std::floor(steps))
-    throw Error("submit: 'steps' must be a positive integer");
-  spec.steps = static_cast<std::uint64_t>(steps);
+  const double priority = wire_number(req, "priority", 1);
+  if (!std::isfinite(priority))
+    throw Error("submit: 'priority' must be a finite number");
+  spec.priority = static_cast<int>(
+      std::clamp(priority, 1.0, static_cast<double>(JobSpec::kMaxPriority)));
+  spec.steps = wire_integer(req, "steps", 1, "submit");
   for (const auto& [k, v] : req)
     if (k.rfind("cfg.", 0) == 0) spec.config.set(k.substr(4), v.asText());
   if (!spec.config.has("case"))
@@ -280,7 +291,7 @@ void Server::handleSubmit(Session& s, const WireMap& req) {
 }
 
 void Server::handleStatus(Session& s, const WireMap& req) {
-  const auto id = static_cast<std::uint64_t>(wire_number(req, "job"));
+  const std::uint64_t id = wire_integer(req, "job", 0, "status");
   std::lock_guard<std::mutex> lk(m_);
   const auto it = jobs_.find(id);
   if (it == jobs_.end())

@@ -20,10 +20,7 @@ template <class D, class S>
 class SwCpeBackend final : public KernelBackend<D, S> {
  public:
   using Field = PopulationFieldT<S>;
-
-  const BackendInfo& info() const override {
-    return *find_backend_info("swcpe");
-  }
+  SwCpeBackend() : KernelBackend<D, S>("swcpe") {}
 
   void init(const Grid& grid, const MaskField& mask,
             const MaterialTable& mats) override {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "app/cases.hpp"
 #include "sw/athread.hpp"
@@ -90,6 +91,36 @@ TEST(CaseBuilder, ChannelDevelopsPoiseuille) {
   // Centreline faster than near-wall.
   EXPECT_GT(c.solver->velocity(2, 8, 2).x, c.solver->velocity(2, 0, 2).x);
   EXPECT_GT(c.uRef, 0.0);
+}
+
+TEST(CaseBuilder, ChannelRejectsNonBgkOperators) {
+  // Guo forcing exists on the BGK path only: TRT/MRT would run the
+  // channel with no driving force at all.
+  for (const char* op : {"trt", "mrt"}) {
+    SCOPED_TRACE(op);
+    EXPECT_THROW(build_case(fromString("case = channel\nnx = 4\nny = 8\n"
+                                       "nz = 4\noperator = " +
+                                       std::string(op) + "\n")),
+                 Error);
+  }
+}
+
+TEST(CaseBuilder, RejectsExtentsBelowOneCell) {
+  const std::string keys[] = {"nx", "ny", "nz"};
+  for (const std::string& key : keys)
+    for (const std::string bad : {"0", "-3"}) {
+      SCOPED_TRACE(key + " = " + bad);
+      std::string text = "case = cavity\n";
+      for (const std::string& k : keys)
+        text += k + " = " + (k == key ? bad : "8") + "\n";
+      try {
+        build_case(fromString(text));
+        ADD_FAILURE() << "expected Error naming " << key;
+      } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+            << e.what();
+      }
+    }
 }
 
 TEST(CaseBuilder, CylinderHasObstacleAndFlow) {

@@ -102,8 +102,9 @@ void exerciseType(Comm& c, Algo algo) {
     std::vector<T> v2(n);
     for (std::size_t i = 0; i < n; ++i) v2[i] = val<T>(r, i);
     cs.reduce(root, std::span<T>(v2), op);
-    if (r == root)
+    if (r == root) {
       for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(v2[i], expect[i]) << i;
+    }
 
     // reduce_scatter: this rank's chunk of the reference.
     const auto [lo, hi] = Collectives::chunkRange(n, P, r);
@@ -126,11 +127,12 @@ void exerciseType(Comm& c, Algo algo) {
   for (std::size_t i = 0; i < n; ++i) mine[i] = val<T>(r, i);
   std::vector<T> out(r == root ? static_cast<std::size_t>(P) * n : 0);
   cs.gather<T>(root, mine, out);
-  if (r == root)
+  if (r == root) {
     for (int rr = 0; rr < P; ++rr)
       for (std::size_t i = 0; i < n; ++i)
         EXPECT_EQ(out[static_cast<std::size_t>(rr) * n + i], val<T>(rr, i))
             << rr << "/" << i;
+  }
 
   // allgather: the same blocks on every rank.
   std::vector<T> all(static_cast<std::size_t>(P) * n);
@@ -348,9 +350,10 @@ TEST(Coll, TopologyAwareRingStaysCorrect) {
     std::vector<double> mine(3, static_cast<double>(c.rank()));
     std::vector<double> out(c.rank() == 0 ? 24 : 0);
     cs.gather<double>(0, mine, out);
-    if (c.rank() == 0)
+    if (c.rank() == 0) {
       for (int rr = 0; rr < 8; ++rr)
         EXPECT_EQ(out[static_cast<std::size_t>(rr) * 3], rr);
+    }
   });
 }
 

@@ -378,24 +378,6 @@ TEST(DistributedSolverApi, RejectsMismatchedProcessGrid) {
                Error);
 }
 
-TEST(DistributedSolverApi, RejectsNonDistributedBackends) {
-  // twostep and push advertise caps.distributed = false (their streaming
-  // traffic isn't compatible with the one-layer halo contract).  A
-  // per-variant switch once silently fell back to fused here; the backend
-  // layer must refuse instead.
-  for (const char* name : {"twostep", "push"}) {
-    SCOPED_TRACE(name);
-    World world(2);
-    EXPECT_THROW(world.run([&](Comm& c) {
-      typename DistributedSolver<D3Q19>::Config cfg;
-      cfg.global = {8, 8, 4};
-      cfg.backend = name;
-      DistributedSolver<D3Q19> solver(c, cfg);
-    }),
-                 Error);
-  }
-}
-
 TEST(DistributedSolverApi, OverlapRejectsBackendsThatCannotSplitTheSweep) {
   // swcpe updates the whole block per call (caps.subRange = false) and
   // esoteric streams in place (its even sweep must precede its own

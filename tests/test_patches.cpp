@@ -361,19 +361,18 @@ TEST(PatchSolver, FluidWeightedAssignmentSkipsSolidHeavyImbalance) {
 // ---- per-patch backend plans -------------------------------------------
 
 TEST(PatchSolver, HeterogeneousPatchBackendsMatchMonolithic) {
-  // A user-set mixed plan: default generic with per-patch overrides to
-  // fused and swcpe, two host threads per rank.  All three are
-  // bit-identical kernels, so a heterogeneous run must still match the
-  // monolithic fused reference exactly — including across patch faces
-  // where the sender's backend packs the strip and a *different* receiver
-  // backend unpacks it, across the executor's z-slab split of the
-  // sub-range patches (swcpe gets one whole-block call), and across a
-  // forced migration that rebuilds a patch's backend on its new owner
-  // from the replicated plan.
-  std::map<int, std::string> plan{{0, "fused"}, {3, "swcpe"}};
+  // A user-set mixed plan: default fused with per-patch overrides to
+  // swcpe, two host threads per rank.  Both are bit-identical kernels, so
+  // a heterogeneous run must still match the monolithic fused reference
+  // exactly — including across patch faces where the sender's backend
+  // packs the strip and a *different* receiver backend unpacks it, across
+  // the executor's z-slab split of the sub-range patches (swcpe gets one
+  // whole-block call), and across a forced migration that rebuilds a
+  // patch's backend on its new owner from the replicated plan.
+  std::map<int, std::string> plan{{0, "swcpe"}, {3, "swcpe"}};
   for (const Scenario& sc : patchScenarios())
     expectPatchRunMatchesMonolithic(sc, 2, {2, 2, 1}, 6, /*migrateAt=*/3, 0,
-                                    "generic", plan, /*hostThreads=*/2);
+                                    "fused", plan, /*hostThreads=*/2);
 }
 
 TEST(PatchSolver, PatchBackendNameResolvesOverrides) {
@@ -382,11 +381,11 @@ TEST(PatchSolver, PatchBackendNameResolvesOverrides) {
     typename PatchSolver<D3Q19>::Config cfg;
     cfg.global = {8, 8, 2};
     cfg.patchGrid = {2, 2, 1};
-    cfg.backend = "generic";
+    cfg.backend = "swcpe";
     cfg.patchBackends = {{1, "fused"}};
     PatchSolver<D3Q19> solver(c, cfg);
     solver.finalizeMask();
-    EXPECT_EQ(solver.patchBackendName(0), "generic");
+    EXPECT_EQ(solver.patchBackendName(0), "swcpe");
     EXPECT_EQ(solver.patchBackendName(1), "fused");
   });
 }
@@ -412,7 +411,7 @@ TEST(PatchSolver, RejectsBackendPlanNamingMissingPatch) {
     typename PatchSolver<D3Q19>::Config cfg;
     cfg.global = {8, 8, 2};
     cfg.patchGrid = {2, 2, 1};
-    cfg.patchBackends = {{7, "generic"}};  // layout has patches 0..3
+    cfg.patchBackends = {{7, "swcpe"}};  // layout has patches 0..3
     PatchSolver<D3Q19> solver(c, cfg);
     solver.finalizeMask();
   }),

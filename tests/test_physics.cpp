@@ -4,9 +4,11 @@
 
 #include <cmath>
 #include <numbers>
+#include <utility>
 
 #include "core/observables.hpp"
 #include "core/solver.hpp"
+#include "kernel_conformance.hpp"
 
 namespace swlb {
 namespace {
@@ -125,8 +127,8 @@ TEST_P(TaylorGreenTest, ViscousDecayMatchesAnalytic) {
 
   CollisionConfig cfg;
   cfg.omega = omega_from_tau(tau_from_viscosity(nu));
-  Solver<D2Q9> solver(Grid(n, n, 1), cfg, Periodicity{true, true, true});
-  solver.setBackend(GetParam().backend);
+  const Periodicity per{true, true, true};
+  Solver<D2Q9> solver(Grid(n, n, 1), cfg, per);
   solver.finalizeMask();
   solver.initField([&](int x, int y, int, Real& rho, Vec3& u) {
     u.x = -u0 * std::cos(k * (x + 0.5)) * std::sin(k * (y + 0.5));
@@ -137,18 +139,20 @@ TEST_P(TaylorGreenTest, ViscousDecayMatchesAnalytic) {
   });
 
   const int steps = 400;
-  solver.run(steps);
   const Real decay = std::exp(-2 * nu * k * k * steps);
-
-  Real maxErr = 0;
-  for (int y = 0; y < n; ++y)
-    for (int x = 0; x < n; ++x) {
-      const Real ex = -u0 * decay * std::cos(k * (x + 0.5)) * std::sin(k * (y + 0.5));
-      const Real ey = u0 * decay * std::sin(k * (x + 0.5)) * std::cos(k * (y + 0.5));
-      const Vec3 got = solver.velocity(x, y, 0);
-      maxErr = std::max({maxErr, std::abs(got.x - ex), std::abs(got.y - ey)});
-    }
-  EXPECT_LT(maxErr / u0, 0.02) << GetParam().label;
+  conformance::withKernel(GetParam().backend, std::move(solver), per,
+                          [&](auto& sim) {
+    sim.run(steps);
+    Real maxErr = 0;
+    for (int y = 0; y < n; ++y)
+      for (int x = 0; x < n; ++x) {
+        const Real ex = -u0 * decay * std::cos(k * (x + 0.5)) * std::sin(k * (y + 0.5));
+        const Real ey = u0 * decay * std::sin(k * (x + 0.5)) * std::cos(k * (y + 0.5));
+        const Vec3 got = sim.velocity(x, y, 0);
+        maxErr = std::max({maxErr, std::abs(got.x - ex), std::abs(got.y - ey)});
+      }
+    EXPECT_LT(maxErr / u0, 0.02) << GetParam().label;
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(

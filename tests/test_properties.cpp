@@ -6,9 +6,11 @@
 #include <cmath>
 #include <random>
 #include <tuple>
+#include <utility>
 
 #include "core/precision.hpp"
 #include "core/solver.hpp"
+#include "kernel_conformance.hpp"
 
 namespace swlb {
 namespace {
@@ -23,8 +25,8 @@ TEST_P(ConservationSweep, MassAndMomentumExactOnPeriodicBox) {
   const auto [omega, backend] = GetParam();
   CollisionConfig cfg;
   cfg.omega = omega;
-  Solver<D3Q19> solver(Grid(10, 8, 6), cfg, Periodicity{true, true, true});
-  solver.setBackend(backend);
+  const Periodicity per{true, true, true};
+  Solver<D3Q19> solver(Grid(10, 8, 6), cfg, per);
   solver.finalizeMask();
   std::mt19937 rng(1234);
   std::uniform_real_distribution<Real> dist(-0.03, 0.03);
@@ -36,14 +38,16 @@ TEST_P(ConservationSweep, MassAndMomentumExactOnPeriodicBox) {
     (void)dist;
     (void)rng;
   });
-  const Real m0 = solver.totalMass();
-  const Vec3 p0 = solver.totalMomentum();
-  solver.run(15);
-  EXPECT_NEAR(solver.totalMass(), m0, 1e-11 * m0);
-  const Vec3 p1 = solver.totalMomentum();
-  EXPECT_NEAR(p1.x, p0.x, 1e-12);
-  EXPECT_NEAR(p1.y, p0.y, 1e-12);
-  EXPECT_NEAR(p1.z, p0.z, 1e-12);
+  conformance::withKernel(backend, std::move(solver), per, [](auto& sim) {
+    const Real m0 = sim.totalMass();
+    const Vec3 p0 = sim.totalMomentum();
+    sim.run(15);
+    EXPECT_NEAR(sim.totalMass(), m0, 1e-11 * m0);
+    const Vec3 p1 = sim.totalMomentum();
+    EXPECT_NEAR(p1.x, p0.x, 1e-12);
+    EXPECT_NEAR(p1.y, p0.y, 1e-12);
+    EXPECT_NEAR(p1.z, p0.z, 1e-12);
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(

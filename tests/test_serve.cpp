@@ -14,6 +14,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "app/cases.hpp"
@@ -402,7 +403,7 @@ TEST(Serve, MidRunShutdownLeavesNoCheckpointDebris) {
     Server server(cfg);
     Session& s = server.openSession();
     for (int i = 0; i < 3; ++i)
-      s.request(encode_line(submitCavity("t" + std::to_string(i), 1000)));
+      s.request(encode_line(submitCavity(std::to_string(i).insert(0, 1, 't'), 1000)));
     // Wait until checkpoint files actually exist, then abort mid-run.
     for (int spin = 0; spin < 2000 && countCheckpointFiles(dir.path) == 0;
          ++spin)
@@ -463,6 +464,56 @@ TEST(Serve, StatusStatsAndTenantAccounting) {
   const auto err2 = s.nextEvent();
   ASSERT_TRUE(err2.has_value());
   EXPECT_EQ(wire_string(decode_line(*err2), "event"), "error");
+  server.shutdown();
+}
+
+// ---- malformed numbers -------------------------------------------------
+
+TEST(Serve, OutOfRangeNumbersAreErrorsNotJobs) {
+  // Wire numbers are doubles: each integer field is range-checked before
+  // it is converted, and a case extent below one cell fails its job.
+  ScratchDir dir("serve_numbers_test");
+  ServerConfig cfg;
+  cfg.workers = 1;
+  cfg.checkpointDir = dir.path;
+  Server server(cfg);
+  Session& s = server.openSession();
+  const std::string cavity = ",\"cfg.case\":\"cavity\",\"cfg.nx\":\"6\","
+                             "\"cfg.ny\":\"6\",\"cfg.nz\":\"6\"}";
+  const std::pair<std::string, std::string> bad[] = {
+      {"steps", "{\"op\":\"submit\",\"steps\":1e30" + cavity},
+      {"steps", "{\"op\":\"submit\",\"steps\":inf" + cavity},
+      {"steps", "{\"op\":\"submit\",\"steps\":1.8446744073709552e19" + cavity},
+      {"steps", "{\"op\":\"submit\",\"steps\":0.5" + cavity},
+      {"priority", "{\"op\":\"submit\",\"steps\":4,\"priority\":inf" + cavity},
+      {"priority", "{\"op\":\"submit\",\"steps\":4,\"priority\":-inf" + cavity},
+      {"job", "{\"op\":\"status\",\"job\":-1}"},
+      {"job", "{\"op\":\"status\",\"job\":1e30}"},
+      {"job", "{\"op\":\"status\",\"job\":inf}"},
+  };
+  for (const auto& [key, line] : bad) {
+    SCOPED_TRACE(line);
+    s.request(line);
+    const auto reply = s.nextEvent();
+    ASSERT_TRUE(reply.has_value());
+    const WireMap ev = decode_line(*reply);
+    EXPECT_EQ(wire_string(ev, "event"), "error");
+    EXPECT_NE(wire_string(ev, "reason", "").find("'" + key + "'"),
+              std::string::npos);
+  }
+
+  for (const char* extent : {"0", "-3"}) {
+    WireMap req = submitCavity("acme", 4, 6);
+    req["cfg.nx"] = WireValue::ofString(extent);
+    s.request(encode_line(req));
+  }
+  const Drained d = drainUntilFinished(s, 2);
+  EXPECT_TRUE(d.ofKind("done").empty());
+  const auto failed = d.ofKind("failed");
+  ASSERT_EQ(failed.size(), 2u);
+  for (const WireMap& ev : failed)
+    EXPECT_NE(wire_string(ev, "reason").find("nx"), std::string::npos)
+        << wire_string(ev, "reason");
   server.shutdown();
 }
 

@@ -42,7 +42,7 @@ TEST_P(ThreadCountSweep, BitIdenticalToSerialKernel) {
 
 INSTANTIATE_TEST_SUITE_P(Threads, ThreadCountSweep, ::testing::Values(2, 3, 4, 16),
                          [](const ::testing::TestParamInfo<int>& info) {
-                           return "t" + std::to_string(info.param);
+                           return std::to_string(info.param).insert(0, 1, 't');
                          });
 
 TEST(Threading, ExecutorSlabsPartitionTheRange) {

@@ -101,7 +101,7 @@ TEST(Tuner, AppliesBackendToSolverKnobs) {
   // The registry-name overload drives the string-typed configs.  (Qualified
   // calls: a std::string argument would otherwise drag std::apply into the
   // ADL overload set, which hard-errors on non-tuple arguments.)
-  std::string name = "generic";
+  std::string name = "swcpe";
   swlb::tune::apply(p, name);  // "fused" plan overrides the caller's value
   EXPECT_EQ(name, "fused");
   p.backend = "esoteric";
@@ -170,11 +170,11 @@ TEST(TuningCache, LegacyKernelVariantFieldReadsAsBackend) {
   // it onto TuningPlan::backend.
   const TuningInput in = cavityInput();
   TuningPlan p = Tuner().plan(in);
-  p.backend = "generic";
+  p.backend = "swcpe";
   TuningCache cache;
   cache.store(in.key(), p);
   std::string json = cache.toString();
-  const std::string be = "\"backend\": \"generic\", ";
+  const std::string be = "\"backend\": \"swcpe\", ";
   auto pos = json.find(be);
   ASSERT_NE(pos, std::string::npos);
   json.erase(pos, be.size());
@@ -187,7 +187,7 @@ TEST(TuningCache, LegacyKernelVariantFieldReadsAsBackend) {
   const TuningCache loaded = TuningCache::load(path);
   const auto hit = loaded.lookup(in.key());
   ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->backend, "generic");
+  EXPECT_EQ(hit->backend, "swcpe");
   EXPECT_EQ(*hit, p);
   fs::remove(path);
 }
@@ -225,7 +225,7 @@ TEST(TuningCache, RetiredSimdBackendReadsAsFused) {
       fs::remove(path);
       ASSERT_TRUE(hit.has_value());
       EXPECT_EQ(hit->backend, "fused");
-      std::string name = "generic";
+      std::string name = "swcpe";
       swlb::tune::apply(*hit, name);
       EXPECT_EQ(name, "fused");
     }
