@@ -9,6 +9,7 @@
 // (Fig. 8 / Fig. 11 ladders) and for cross-validation tests.
 #pragma once
 
+#include <string>
 #include <type_traits>
 #include <utility>
 
@@ -605,6 +606,32 @@ void apply_periodic(MaskField& mask, const Periodicity& per);
 
 /// Fill non-periodic halo mask cells with `id` (defaults keep walls).
 void fill_halo_mask(MaskField& mask, const Periodicity& per, std::uint8_t id);
+
+/// The ablation kernels above by name, for the conformance tests and
+/// bench_kernels (they are plain functions, not backends).  ablation_step
+/// runs one update on an A-B pair as Solver::step drives a backend: wrap
+/// the periodic halo of `src`, update the whole interior into `dst`; the
+/// caller swaps.  Any other name throws.
+inline constexpr const char* kAblationKernels[] = {"generic", "twostep",
+                                                   "push"};
+template <class D, class S>
+void ablation_step(const std::string& name, PopulationFieldT<S>& src,
+                   PopulationFieldT<S>& dst, const MaskField& mask,
+                   const MaterialTable& mats, const CollisionConfig& cfg,
+                   const Periodicity& per) {
+  apply_periodic(src, per);
+  const Box3 all = src.grid().interior();
+  if (name == "generic") {
+    stream_collide_generic<D>(src, dst, mask, mats, cfg, all);
+  } else if (name == "twostep") {
+    stream_only<D>(src, dst, mask, mats, all);
+    collide_inplace<D>(dst, mask, mats, cfg, all);
+  } else if (name == "push") {
+    stream_collide_push<D>(src, dst, mask, mats, cfg, all, per);
+  } else {
+    throw Error("no ablation kernel named '" + name + "'");
+  }
+}
 
 }  // namespace swlb
 

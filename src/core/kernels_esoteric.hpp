@@ -51,11 +51,6 @@ constexpr bool pair_symmetric_weights() {
 
 }  // namespace detail
 
-/// Can the esoteric single-buffer scheme handle this cell class?
-constexpr bool esoteric_supports(CellClass cls) {
-  return cls != CellClass::Outflow;
-}
-
 /// Even (phase 0 -> 1) in-place update: pull-gather from the natural
 /// layout, collide, scatter post-collision values downstream into the
 /// opposite slots.  Any sub-box order is valid (read set == write set per

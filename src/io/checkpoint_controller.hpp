@@ -76,12 +76,12 @@ class CheckpointController {
     return saved_.size();
   }
 
-  /// Save when the solver's step count hits a multiple of the interval.
-  /// Returns true when a checkpoint was written.
+  /// Save when checkpoint_due (each multiple of the interval).  Returns
+  /// true when a checkpoint was written.
   template <class D, class S>
   bool maybeSave(const Solver<D, S>& solver) {
     const std::uint64_t step = solver.stepsDone();
-    if (step == 0 || step % policy_.interval != 0) return false;
+    if (!checkpoint_due(solver, policy_.interval)) return false;
     if (!saved_.empty() && saved_.back() == step) return false;  // same step
     save_checkpoint(pathFor(step), solver);
     saved_.push_back(step);

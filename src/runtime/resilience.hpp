@@ -123,11 +123,12 @@ class DistributedCheckpointController {
     }
   }
 
-  /// Save when the step count hits a multiple of the interval.  Collective
-  /// when due (and only then).  Returns true when a generation was written.
+  /// Save when io::checkpoint_due (each multiple of the interval).
+  /// Collective when due (and only then).  Returns true when a generation
+  /// was written.
   bool maybeSave(DistributedSolver<D, S>& solver) {
     const std::uint64_t step = solver.stepsDone();
-    if (step == 0 || step % policy_.interval != 0) return false;
+    if (!io::checkpoint_due(solver.block(), policy_.interval)) return false;
     if (!generations_.empty() && generations_.back() == step) return false;
     save(solver);
     return true;

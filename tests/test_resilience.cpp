@@ -93,39 +93,55 @@ void expectBitIdentical(const PopulationField& a, const PopulationField& b) {
 }
 
 TEST(Resilience, InjectedRankKillRollsBackAndResumesBitIdentical) {
+  // Rank 2 dies at step 37.  fused (interval 10) rolls back to the step-30
+  // generation.  Esoteric after an odd step holds the rotated layout, which
+  // no checkpoint carries: with interval 5 it saves the odd multiples one
+  // step later (..., 26, 30, 36) and rolls back to step 36.  Both end
+  // bitwise equal to the fault-free fused run.
   const int n = 24, total = 60;
-  const std::string prefix = tmpPrefix("swlb_res_kill");
-  removeAll(prefix);
   const PopulationField reference = referenceRun(n, total);
-
-  WorldConfig wcfg;
-  wcfg.faults.killRank = 2;
-  wcfg.faults.killAtStep = 37;  // between the step-30 and step-40 generations
-  World world(4, wcfg);
-  PopulationField recovered;
-  std::uint64_t recoveries = 0, restoredStep = 0;
-  world.run([&](Comm& c) {
-    DistributedSolver<D2Q9> solver(c, tgvConfig(n));
-    initTgv(solver, n);
-    ResilientRunnerConfig<D2Q9> rcfg;
-    rcfg.checkpoint.interval = 10;
-    rcfg.checkpoint.keep = 2;
-    rcfg.fault.recvTimeout = 0.25;
-    ResilientRunner<D2Q9> runner(solver, prefix, rcfg);
-    const auto rep = runner.run(total);
-    EXPECT_EQ(solver.stepsDone(), static_cast<std::uint64_t>(total));
-    PopulationField g = solver.gatherPopulations(0);
-    if (c.rank() == 0) {
-      recovered = std::move(g);
-      recoveries = rep.recoveries;
-      restoredStep = rep.lastRestoredStep;
-    }
-  });
-  EXPECT_EQ(world.faultStats().kills, 1u);
-  EXPECT_EQ(recoveries, 1u);
-  EXPECT_EQ(restoredStep, 30u);  // newest complete generation before the kill
-  expectBitIdentical(reference, recovered);
-  removeAll(prefix);
+  struct Case {
+    const char* backend;
+    HaloMode mode;
+    std::uint64_t interval, restored;
+  };
+  for (const Case& k : {Case{"fused", HaloMode::Overlap, 10, 30},
+                        Case{"esoteric", HaloMode::Sequential, 5, 36}}) {
+    SCOPED_TRACE(k.backend);
+    const std::string prefix = tmpPrefix("swlb_res_kill");
+    removeAll(prefix);
+    WorldConfig wcfg;
+    wcfg.faults.killRank = 2;
+    wcfg.faults.killAtStep = 37;
+    World world(4, wcfg);
+    PopulationField recovered;
+    std::uint64_t recoveries = 0, restoredStep = 0;
+    world.run([&](Comm& c) {
+      DistributedSolver<D2Q9>::Config cfg = tgvConfig(n);
+      cfg.backend = k.backend;
+      cfg.mode = k.mode;
+      DistributedSolver<D2Q9> solver(c, cfg);
+      initTgv(solver, n);
+      ResilientRunnerConfig<D2Q9> rcfg;
+      rcfg.checkpoint.interval = k.interval;
+      rcfg.checkpoint.keep = 2;
+      rcfg.fault.recvTimeout = 0.25;
+      ResilientRunner<D2Q9> runner(solver, prefix, rcfg);
+      const auto rep = runner.run(total);
+      EXPECT_EQ(solver.stepsDone(), static_cast<std::uint64_t>(total));
+      PopulationField g = solver.gatherPopulations(0);
+      if (c.rank() == 0) {
+        recovered = std::move(g);
+        recoveries = rep.recoveries;
+        restoredStep = rep.lastRestoredStep;
+      }
+    });
+    EXPECT_EQ(world.faultStats().kills, 1u);
+    EXPECT_EQ(recoveries, 1u);
+    EXPECT_EQ(restoredStep, k.restored);  // newest complete generation
+    expectBitIdentical(reference, recovered);
+    removeAll(prefix);
+  }
 }
 
 TEST(Resilience, DroppedHaloMessageTimesOutAndRecoversBitIdentical) {
