@@ -35,7 +35,7 @@ double measure(HaloMode mode, double latency, int steps,
     cfg.global = {64, 64, 32};
     cfg.collision.omega = 1.5;
     cfg.periodic = {true, true, true};
-    cfg.procGrid = {2, 2, 1};
+    cfg.patchGrid = {2, 2, 1};
     cfg.mode = mode;
     DistributedSolver<D3Q19> solver(c, cfg);
     solver.finalizeMask();

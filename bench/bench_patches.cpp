@@ -3,15 +3,15 @@
 // The paper's §IV-C1 decomposition gives every rank the same cell
 // *volume*; on a masked case (here 36 % solid) the rank that draws the
 // all-fluid block becomes the critical path while the solid-heavy rank
-// idles.  This bench runs the same masked channel three ways:
+// idles.  This bench runs the same masked channel three ways, all on
+// DistributedSolver:
 //
-//   static         — DistributedSolver, uniform 2x2 split
-//   patch_balanced — PatchSolver, fluid-weighted bisection over the
-//                    Morton curve (4x4 patches on 4 ranks)
-//   rebalance      — PatchSolver seeded with the *uniform-count*
-//                    assignment (the static-split proxy) on a finer 8x8
-//                    patch grid, then one measured rebalance from
-//                    per-patch step-time EMAs
+//   static         — one block per rank, uniform 2x2 split, Overlap
+//   patch_balanced — fluid-weighted bisection over the Morton curve (4x4
+//                    patches on 4 ranks), Sequential
+//   rebalance      — the *uniform-count* assignment (the static-split
+//                    proxy) on a finer 8x8 patch grid, Sequential, then
+//                    one measured rebalance from per-patch step-time EMAs
 //
 // and reports MLUPS, the max/min per-rank compute seconds, and the
 // measured imbalance before/after the rebalance migration.
@@ -27,7 +27,6 @@
 #include "obs/metrics.hpp"
 #include "perf/report.hpp"
 #include "runtime/distributed_solver.hpp"
-#include "runtime/patches.hpp"
 
 using namespace swlb;
 using namespace swlb::runtime;
@@ -73,7 +72,8 @@ RunResult runStatic() {
     cfg.global = kGlobal;
     cfg.collision.omega = 1.7;
     cfg.periodic = {true, true, true};
-    cfg.procGrid = {2, 2, 1};
+    cfg.mode = HaloMode::Overlap;
+    cfg.patchGrid = {2, 2, 1};
     DistributedSolver<D3Q19> solver(c, cfg);
     solver.paintGlobal(kSolidBox, MaterialTable::kSolid);
     solver.finalizeMask();
@@ -102,12 +102,13 @@ RunResult runPatchBalanced() {
   std::vector<double> computeS(kRanks, 0.0);
   World world(kRanks);
   world.run([&](Comm& c) {
-    typename PatchSolver<D3Q19>::Config cfg;
+    typename DistributedSolver<D3Q19>::Config cfg;
     cfg.global = kGlobal;
     cfg.collision.omega = 1.7;
     cfg.periodic = {true, true, true};
+    cfg.mode = HaloMode::Sequential;
     cfg.patchGrid = {4, 4, 1};
-    PatchSolver<D3Q19> solver(c, cfg);
+    DistributedSolver<D3Q19> solver(c, cfg);
     solver.paintGlobal(kSolidBox, MaterialTable::kSolid);
     solver.finalizeMask();
     solver.initField(initSmooth);
@@ -139,13 +140,14 @@ RebalanceResult runRebalance() {
   RebalanceResult out;
   World world(kRanks);
   world.run([&](Comm& c) {
-    typename PatchSolver<D3Q19>::Config cfg;
+    typename DistributedSolver<D3Q19>::Config cfg;
     cfg.global = kGlobal;
     cfg.collision.omega = 1.7;
     cfg.periodic = {true, true, true};
+    cfg.mode = HaloMode::Sequential;
     cfg.patchGrid = {8, 8, 1};
-    cfg.assignment = PatchSolver<D3Q19>::Assignment::UniformCount;
-    PatchSolver<D3Q19> solver(c, cfg);
+    cfg.assignment = DistributedSolver<D3Q19>::Assignment::UniformCount;
+    DistributedSolver<D3Q19> solver(c, cfg);
     solver.paintGlobal(kSolidBox, MaterialTable::kSolid);
     solver.finalizeMask();
     solver.initField(initSmooth);

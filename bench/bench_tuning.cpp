@@ -48,7 +48,7 @@ double measureStepSeconds(HaloMode mode) {
     cfg.global = kExtent;
     cfg.collision.omega = 1.5;
     cfg.periodic = {true, true, true};
-    cfg.procGrid = {2, 2, 1};
+    cfg.patchGrid = {2, 2, 1};
     cfg.mode = mode;
     DistributedSolver<D3Q19> solver(c, cfg);
     solver.finalizeMask();

@@ -113,7 +113,7 @@ int main(int argc, char** argv) {
       cfg.global = {n, n, 1};
       cfg.collision = collision;
       cfg.periodic = {true, true, true};
-      cfg.procGrid = {1, 1, 1};
+      cfg.patchGrid = {1, 1, 1};
       DistributedSolver<D2Q9> solver(c, cfg);
       solver.finalizeMask();
       solver.initField([&](int x, int y, int, Real& rho, Vec3& u) {
@@ -135,7 +135,7 @@ int main(int argc, char** argv) {
       cfg.global = {n, n, 1};
       cfg.collision = collision;
       cfg.periodic = {true, true, true};
-      cfg.procGrid = {2, 2, 1};
+      cfg.patchGrid = {2, 2, 1};
       cfg.mode = mode4;
       DistributedSolver<D2Q9> solver(c, cfg);
       solver.finalizeMask();
@@ -211,7 +211,7 @@ int main(int argc, char** argv) {
     cfg.global = {n, n, 1};
     cfg.collision = collision;
     cfg.periodic = {true, true, true};
-    cfg.procGrid = {2, 2, 1};
+    cfg.patchGrid = {2, 2, 1};
     cfg.mode = mode4;
     DistributedSolver<D2Q9> solver(c, cfg);
     solver.finalizeMask();
@@ -264,7 +264,7 @@ int main(int argc, char** argv) {
     int finalRanks = 0;
     elasticWorld.run([&](Comm& c) {
       // The decomposition must adapt to whatever rank count survives, so
-      // the factory leaves procGrid on automatic.
+      // the factory leaves patchGrid on automatic.
       auto build = [&](Comm& cc) {
         DistributedSolver<D2Q9>::Config cfg;
         cfg.global = {n, n, 1};

@@ -8,12 +8,12 @@
 //        swlb_run --demo [--trace out.json] [--tune] [...]
 //
 // --backend NAME selects the stream/collide backend from the registry
-// (DESIGN.md §14: fused, esoteric, swcpe) on every path — single-rank,
-// --ranks and --patches.  An unknown name or a capability conflict (e.g.
-// an in-place backend under --patches) is an explicit error, never a
-// silent fallback.  The flag overrides the tuned plan's pick.
+// (DESIGN.md §14: fused, esoteric, swcpe) on every path.  An unknown name
+// or a capability conflict (e.g. esoteric over an Outflow mask) is an
+// explicit error, never a silent fallback.  The flag overrides the tuned
+// plan's pick.
 //
-// --ranks N runs the case on the N-rank distributed runtime (cavity only
+// --ranks N runs the case on the N-rank distributed engine (cavity only
 // in this driver) under the resilient driver; --max-shrinks K additionally
 // arms elastic shrink-to-fit recovery (DESIGN.md §10), so up to K
 // permanently lost ranks degrade the run instead of killing it.  The halo
@@ -21,11 +21,11 @@
 // sweep around the exchange (a whole-block or in-place backend: swcpe,
 // esoteric); the driver prints the one it chose.
 //
-// --patches N switches the distributed path to the patch-aware runtime
-// (runtime/patches, DESIGN.md §13) with N patches per rank, assigned by
-// fluid-weighted bisection along the Morton curve; --rebalance-every K
-// additionally migrates patches every K steps whenever the measured
-// per-patch step-time imbalance exceeds the threshold.
+// --patches N gives every rank N blocks ("patch mode", DESIGN.md §13),
+// assigned by fluid-weighted bisection along the Morton curve;
+// --rebalance-every K additionally migrates blocks every K steps whenever
+// the measured per-block step-time imbalance exceeds the threshold.  Every
+// other flag and output works the same with or without it.
 //
 // --trace records every solver phase (periodic wrap, fused kernel,
 // checkpoint writes) on a Chrome trace-event timeline; open the file in
@@ -65,7 +65,6 @@
 #include "obs/context.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "runtime/patches.hpp"
 #include "runtime/resilience.hpp"
 #include "tune/tuner.hpp"
 
@@ -77,101 +76,20 @@ constexpr const char* kUsage =
     "[--tuning-cache cache.json] [--ranks N] [--max-shrinks K] "
     "[--patches N] [--rebalance-every K] [--backend NAME]\n";
 
-/// Patch-aware distributed front end (DESIGN.md §13): the cavity case on
-/// the patch runtime, fluid-weighted assignment, optional measured
-/// rebalancing.
-int runPatchedCavity(const app::Config& cfg, int ranks, int patchesPerRank,
-                     long rebalanceEvery, const std::string& tracePath,
-                     const std::string& backendFlag, bool tuneFlag,
-                     const std::string& tuneCachePath) {
-  using runtime::Comm;
-  using runtime::PatchSolver;
-  const Int3 n{static_cast<int>(cfg.getInt("nx", 48)),
-               static_cast<int>(cfg.getInt("ny", 48)),
-               static_cast<int>(cfg.getInt("nz", 48))};
-  const long steps = cfg.getInt("steps", 1000);
-  const Real uLid = cfg.getReal("lid_velocity", 0.05);
-  const CollisionConfig col = app::collision_from_config(cfg);
-
-  // Backend: the tuned pick unless --backend pins one explicitly.
-  std::string backend = backendFlag.empty() ? "fused" : backendFlag;
-  if (tuneFlag) {
-    tune::TuningInput tin;
-    tin.lattice = "D3Q19";
-    tin.extent = n;
-    tin.ranks = ranks;
-    tune::TuningCache cache;
-    if (!tuneCachePath.empty()) cache = tune::TuningCache::load(tuneCachePath);
-    const tune::TuningPlan plan = tune::Tuner().planCached(cache, tin);
-    std::cout << "tuning [" << tin.key().toString() << "]: "
-              << tune::summary(plan) << "\n";
-    if (!tuneCachePath.empty()) cache.save(tuneCachePath);
-    if (backendFlag.empty()) {
-      tune::apply(plan, backend);
-      std::cout << "tuning: backend -> " << backend << "\n";
-    }
-  }
-  std::cout << "case 'cavity' on " << ranks << " ranks, patch mode: "
-            << patchesPerRank << " patches/rank"
-            << (rebalanceEvery > 0
-                    ? ", rebalance every " + std::to_string(rebalanceEvery) +
-                          " steps"
-                    : "")
-            << ", " << n.x << "x" << n.y << "x" << n.z << " cells, " << steps
-            << " steps\n";
-
-  obs::Tracer tracer;
-  obs::MetricsRegistry metrics;
-  runtime::WorldConfig wcfg;
-  if (!tracePath.empty()) wcfg.tracer = &tracer;
-  wcfg.metrics = &metrics;
-  runtime::World world(ranks, wcfg);
-  double mlups = 0, imbalance = 1.0;
-  int patchCount = 0;
-  world.run([&](Comm& c) {
-    PatchSolver<D3Q19>::Config pcfg;
-    pcfg.global = n;
-    pcfg.collision = col;
-    pcfg.patchesPerRank = patchesPerRank;
-    pcfg.rebalanceEvery =
-        rebalanceEvery > 0 ? static_cast<std::uint64_t>(rebalanceEvery) : 0;
-    pcfg.backend = backend;
-    PatchSolver<D3Q19> solver(c, pcfg);
-    const auto lid = solver.materials().addMovingWall({uLid, 0, 0});
-    solver.paintGlobal({{0, 0, n.z - 1}, {n.x, n.y, n.z}}, lid);
-    solver.finalizeMask();
-    solver.initUniform(1.0, {0, 0, 0});
-    const double m = solver.runMeasured(static_cast<std::uint64_t>(steps));
-    const double i = solver.measuredImbalance();
-    if (c.rank() == 0) {
-      mlups = m;
-      imbalance = i;
-      patchCount = solver.layout().patchCount();
-    }
-  });
-  std::cout << "done (" << mlups << " MLUPS aggregate, " << patchCount
-            << " patches)\n"
-            << "patch.rebalances = " << metrics.counterValue("patch.rebalances")
-            << ", patch.migrations = "
-            << metrics.counterValue("patch.migrations")
-            << ", measured imbalance = " << imbalance << "\n";
-  if (!tracePath.empty()) {
-    tracer.writeChromeTrace(tracePath);
-    std::cout << "wrote " << tracePath << " (" << tracer.eventCount()
-              << " events, " << tracer.threadCount() << " rank timelines)\n";
-  }
-  if (cfg.getBool("vtk", false) || cfg.getBool("ppm", false))
-    std::cout << "note: vtk/ppm outputs are not wired to patch mode; rerun "
-                 "without --patches\n";
-  return 0;
-}
+/// Command-line flags beyond the config file.
+struct Flags {
+  std::string config, trace, tuneCache, backend;
+  bool tune = false;
+  int ranks = 1, maxShrinks = 0, patches = 0;
+  long rebalanceEvery = 0;
+};
 
 /// Distributed front end: the cavity case on N threads-as-ranks under the
-/// resilient driver, with elastic shrink-to-fit recovery armed when
-/// maxShrinks > 0.  Outputs are gathered to rank 0.
-int runDistributedCavity(const app::Config& cfg, int ranks, int maxShrinks,
-                         const std::string& tracePath,
-                         const std::string& backendFlag) {
+/// resilient driver, with --patches blocks per rank (fluid-weighted
+/// bisection along the Morton curve, measured rebalancing every
+/// --rebalance-every steps) and elastic shrink-to-fit recovery armed when
+/// --max-shrinks > 0.  Outputs are gathered to rank 0.
+int runDistributedCavity(const app::Config& cfg, const Flags& fl) {
   using runtime::Comm;
   using runtime::DistributedSolver;
   const Int3 n{static_cast<int>(cfg.getInt("nx", 48)),
@@ -181,17 +99,46 @@ int runDistributedCavity(const app::Config& cfg, int ranks, int maxShrinks,
   const std::string prefix = cfg.getString("output_prefix", "cavity");
   const Real uLid = cfg.getReal("lid_velocity", 0.05);
   const CollisionConfig col = app::collision_from_config(cfg);
-  std::cout << "case 'cavity' on " << ranks << " ranks, " << n.x << "x"
-            << n.y << "x" << n.z << " cells, " << steps << " steps"
-            << (maxShrinks > 0
+
+  // Backend: the tuned pick unless --backend pins one explicitly.
+  std::string backend = fl.backend.empty() ? "fused" : fl.backend;
+  if (fl.tune) {
+    tune::TuningInput tin;
+    tin.lattice = "D3Q19";
+    tin.extent = n;
+    tin.ranks = fl.ranks;
+    tune::TuningCache cache;
+    if (!fl.tuneCache.empty()) cache = tune::TuningCache::load(fl.tuneCache);
+    const tune::TuningPlan plan = tune::Tuner().planCached(cache, tin);
+    std::cout << "tuning [" << tin.key().toString() << "]: "
+              << tune::summary(plan) << "\n";
+    if (!fl.tuneCache.empty()) cache.save(fl.tuneCache);
+    if (fl.backend.empty()) {
+      tune::apply(plan, backend);
+      std::cout << "tuning: backend -> " << backend << "\n";
+    }
+  }
+  std::cout << "case 'cavity' on " << fl.ranks << " ranks, "
+            << (fl.patches > 0
+                    ? "patch mode: " + std::to_string(fl.patches) +
+                          " patches/rank" +
+                          (fl.rebalanceEvery > 0
+                               ? ", rebalance every " +
+                                     std::to_string(fl.rebalanceEvery) +
+                                     " steps"
+                               : "") +
+                          ", "
+                    : "")
+            << n.x << "x" << n.y << "x" << n.z << " cells, " << steps
+            << " steps"
+            << (fl.maxShrinks > 0
                     ? ", elastic recovery armed (max-shrinks " +
-                          std::to_string(maxShrinks) + ")"
+                          std::to_string(fl.maxShrinks) + ")"
                     : "")
             << "\n";
   // Overlap hides the exchange behind the inner sweep but needs a backend
   // that sweeps sub-ranges of a two-lattice block; DistributedSolver
   // rejects it for any other, so choose Sequential for those here.
-  const std::string backend = backendFlag.empty() ? "fused" : backendFlag;
   const BackendInfo* info = find_backend_info(backend);
   const runtime::HaloMode mode =
       info && (!info->caps.subRange || info->caps.inPlaceStreaming)
@@ -199,14 +146,16 @@ int runDistributedCavity(const app::Config& cfg, int ranks, int maxShrinks,
           : runtime::HaloMode::Overlap;
   std::cout << "halo schedule: " << tune::halo_mode_name(mode) << "\n";
 
-  // procGrid stays automatic so the same factory rebuilds the case at
-  // whatever rank count survives a shrink.
+  // The patch grid stays automatic so the same factory rebuilds the case
+  // at whatever rank count survives a shrink.
   auto build = [&](Comm& c) {
     DistributedSolver<D3Q19>::Config dcfg;
     dcfg.global = n;
     dcfg.collision = col;
     dcfg.mode = mode;
     dcfg.backend = backend;
+    dcfg.patchesPerRank = std::max(1, fl.patches);
+    dcfg.rebalanceEvery = static_cast<std::uint64_t>(std::max(0L, fl.rebalanceEvery));
     auto s = std::make_unique<DistributedSolver<D3Q19>>(c, dcfg);
     const auto lid = s->materials().addMovingWall({uLid, 0, 0});
     s->paintGlobal({{0, 0, n.z - 1}, {n.x, n.y, n.z}}, lid);
@@ -222,12 +171,12 @@ int runDistributedCavity(const app::Config& cfg, int ranks, int maxShrinks,
   obs::Tracer tracer;
   obs::MetricsRegistry metrics;
   runtime::WorldConfig wcfg;
-  if (!tracePath.empty()) wcfg.tracer = &tracer;
+  if (!fl.trace.empty()) wcfg.tracer = &tracer;
   wcfg.metrics = &metrics;
-  runtime::World world(ranks, wcfg);
-  double sec = 0;
+  runtime::World world(fl.ranks, wcfg);
+  double sec = 0, imbalance = 1.0;
   std::uint64_t shrinks = 0, ranksLost = 0;
-  int finalRanks = ranks;
+  int finalRanks = fl.ranks, patchCount = 0;
   ScalarField rho;
   VectorField u;
   world.run([&](Comm& c) {
@@ -237,7 +186,7 @@ int runDistributedCavity(const app::Config& cfg, int ranks, int maxShrinks,
         ckptEvery > 0 ? ckptEvery : std::max<long>(1, steps / 4));
     rcfg.checkpoint.keep =
         static_cast<int>(cfg.getInt("checkpoint_keep", 2));
-    rcfg.fault.maxShrinks = maxShrinks;
+    rcfg.fault.maxShrinks = fl.maxShrinks;
     rcfg.rebuild = build;
     runtime::ResilientRunner<D3Q19> runner(*solver, ckptPrefix, rcfg);
     const auto t0 = std::chrono::steady_clock::now();
@@ -245,19 +194,28 @@ int runDistributedCavity(const app::Config& cfg, int ranks, int maxShrinks,
     const double s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
+    const double imb = runner.solver().measuredImbalance();
     runtime::gather_macroscopic(runner.solver(), 0, rho, u);
     runner.checkpoints().clear();
     if (c.rank() == 0) {
       sec = s;
+      imbalance = imb;
       shrinks = rep.shrinks;
       ranksLost = rep.ranksLost;
       finalRanks = c.size();
+      patchCount = runner.solver().layout().patchCount();
     }
   });
   const double mlups = static_cast<double>(n.x) * n.y * n.z *
                        static_cast<double>(steps) / sec / 1e6;
-  std::cout << "done in " << sec << " s (" << mlups << " MLUPS aggregate)\n";
-  if (maxShrinks > 0) {
+  std::cout << "done in " << sec << " s (" << mlups << " MLUPS aggregate, "
+            << patchCount << " patches)\n";
+  if (fl.patches > 0)
+    std::cout << "patch.rebalances = " << metrics.counterValue("patch.rebalances")
+              << ", patch.migrations = "
+              << metrics.counterValue("patch.migrations")
+              << ", measured imbalance = " << imbalance << "\n";
+  if (fl.maxShrinks > 0) {
     const auto downtime =
         metrics.histogramSummary("resilience.downtime_seconds");
     std::cout << "resilience: " << shrinks << " shrink(s), " << ranksLost
@@ -267,9 +225,9 @@ int runDistributedCavity(const app::Config& cfg, int ranks, int maxShrinks,
               << "  resilience.downtime_seconds: count=" << downtime.count
               << " mean=" << downtime.mean << "s\n";
   }
-  if (!tracePath.empty()) {
-    tracer.writeChromeTrace(tracePath);
-    std::cout << "wrote " << tracePath << " (" << tracer.eventCount()
+  if (!fl.trace.empty()) {
+    tracer.writeChromeTrace(fl.trace);
+    std::cout << "wrote " << fl.trace << " (" << tracer.eventCount()
               << " events, " << tracer.threadCount() << " rank timelines)\n";
   }
   if (cfg.getBool("vtk", false)) {
@@ -289,63 +247,55 @@ int runDistributedCavity(const app::Config& cfg, int ranks, int maxShrinks,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string configArg, tracePath, tuneCachePath, backendFlag;
-  bool tuneFlag = false;
-  int ranks = 1, maxShrinks = 0, patches = 0;
-  long rebalanceEvery = 0;
+  Flags fl;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
-      tracePath = argv[++i];
+      fl.trace = argv[++i];
     } else if (std::strcmp(argv[i], "--tune") == 0) {
-      tuneFlag = true;
+      fl.tune = true;
     } else if (std::strcmp(argv[i], "--tuning-cache") == 0 && i + 1 < argc) {
-      tuneCachePath = argv[++i];
-      tuneFlag = true;
+      fl.tuneCache = argv[++i];
+      fl.tune = true;
     } else if (std::strcmp(argv[i], "--ranks") == 0 && i + 1 < argc) {
-      ranks = std::atoi(argv[++i]);
+      fl.ranks = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--max-shrinks") == 0 && i + 1 < argc) {
-      maxShrinks = std::atoi(argv[++i]);
+      fl.maxShrinks = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--patches") == 0 && i + 1 < argc) {
-      patches = std::atoi(argv[++i]);
+      fl.patches = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--rebalance-every") == 0 &&
                i + 1 < argc) {
-      rebalanceEvery = std::atol(argv[++i]);
+      fl.rebalanceEvery = std::atol(argv[++i]);
     } else if (std::strcmp(argv[i], "--backend") == 0 && i + 1 < argc) {
-      backendFlag = argv[++i];
-    } else if (configArg.empty()) {
-      configArg = argv[i];
+      fl.backend = argv[++i];
+    } else if (fl.config.empty()) {
+      fl.config = argv[i];
     } else {
       std::cerr << kUsage;
       return 2;
     }
   }
-  if (configArg.empty()) {
+  if (fl.config.empty()) {
     std::cerr << kUsage;
     return 2;
   }
 
   app::Config cfg;
   try {
-    if (configArg == "--demo") {
+    if (fl.config == "--demo") {
       std::istringstream demo(
           "case = cavity\nnx = 32\nny = 32\nnz = 32\nsteps = 300\n"
           "omega = 1.6\nlid_velocity = 0.05\nppm = true\n");
       cfg = app::Config::parse(demo);
     } else {
-      cfg = app::Config::load(configArg);
+      cfg = app::Config::load(fl.config);
     }
 
-    if (ranks > 1 || patches > 0) {
+    if (fl.ranks > 1 || fl.patches > 0) {
       if (cfg.getString("case") != "cavity")
         throw Error(
             "--ranks/--patches: only 'case = cavity' runs distributed in "
             "this driver");
-      if (patches > 0)
-        return runPatchedCavity(cfg, ranks, patches, rebalanceEvery,
-                                tracePath, backendFlag, tuneFlag,
-                                tuneCachePath);
-      return runDistributedCavity(cfg, ranks, maxShrinks, tracePath,
-                                  backendFlag);
+      return runDistributedCavity(cfg, fl);
     }
 
     app::Case sim = app::build_case(cfg);
@@ -355,28 +305,28 @@ int main(int argc, char** argv) {
               << sim.solver->grid().nx << "x" << sim.solver->grid().ny << "x"
               << sim.solver->grid().nz << " cells, " << steps << " steps\n";
 
-    if (tuneFlag) {
+    if (fl.tune) {
       tune::TuningInput tin;
       tin.lattice = "D3Q19";  // app cases run the D3Q19 host solver
       tin.extent = {sim.solver->grid().nx, sim.solver->grid().ny,
                     sim.solver->grid().nz};
       tin.ranks = 1;
       tune::TuningCache cache;
-      if (!tuneCachePath.empty()) cache = tune::TuningCache::load(tuneCachePath);
+      if (!fl.tuneCache.empty()) cache = tune::TuningCache::load(fl.tuneCache);
       const bool hadPlan = cache.lookup(tin.key()).has_value();
       const tune::TuningPlan plan = tune::Tuner().planCached(cache, tin);
       std::cout << "tuning [" << tin.key().toString() << "]: "
                 << tune::summary(plan)
                 << (hadPlan ? " (cache hit)" : " (searched)") << "\n"
                 << "tuning advice: " << plan.precisionAdvice << "\n";
-      if (!tuneCachePath.empty()) {
-        cache.save(tuneCachePath);
-        if (!hadPlan) std::cout << "tuning cache written: " << tuneCachePath << "\n";
+      if (!fl.tuneCache.empty()) {
+        cache.save(fl.tuneCache);
+        if (!hadPlan) std::cout << "tuning cache written: " << fl.tuneCache << "\n";
       }
       // Apply the plan's backend pick (no-op for the default "fused";
       // cached plans produced with backend trials can switch it) unless
       // --backend pinned one explicitly.
-      if (backendFlag.empty()) {
+      if (fl.backend.empty()) {
         std::string backend = "fused";
         tune::apply(plan, backend);
         if (backend != "fused") {
@@ -385,9 +335,9 @@ int main(int argc, char** argv) {
         }
       }
     }
-    if (!backendFlag.empty()) {
-      sim.solver->setBackend(backendFlag);
-      std::cout << "backend: " << backendFlag << "\n";
+    if (!fl.backend.empty()) {
+      sim.solver->setBackend(fl.backend);
+      std::cout << "backend: " << fl.backend << "\n";
     }
 
     const long ckptEvery = cfg.getInt("checkpoint_interval", 0);
@@ -401,7 +351,7 @@ int main(int argc, char** argv) {
     obs::Tracer tracer;
     const auto t0 = std::chrono::steady_clock::now();
     {
-      obs::ScopedBind bind(tracePath.empty() ? nullptr : &tracer, nullptr);
+      obs::ScopedBind bind(fl.trace.empty() ? nullptr : &tracer, nullptr);
       for (long s = 0; s < steps; ++s) {
         sim.solver->step();
         if (ckpt) ckpt->maybeSave(*sim.solver);
@@ -414,9 +364,9 @@ int main(int argc, char** argv) {
                          static_cast<double>(steps) / sec / 1e6;
     std::cout << "done in " << sec << " s (" << mlups << " MLUPS)\n";
 
-    if (!tracePath.empty()) {
-      tracer.writeChromeTrace(tracePath);
-      std::cout << "wrote " << tracePath << " (" << tracer.eventCount()
+    if (!fl.trace.empty()) {
+      tracer.writeChromeTrace(fl.trace);
+      std::cout << "wrote " << fl.trace << " (" << tracer.eventCount()
                 << " events; open in chrome://tracing or Perfetto)\n";
     }
 

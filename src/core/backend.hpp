@@ -1,6 +1,6 @@
 // Kernel-backend concept (DESIGN.md §14): the one interface every
 // stream/collide execution strategy implements, so Solver — the block
-// engine DistributedSolver and PatchSolver also run their blocks on —
+// engine DistributedSolver also runs its blocks on —
 // dispatches through a registry instead of per-variant switch statements
 // — the miniLB-style portability layer (PAPERS.md, arXiv:2409.16781).  A backend owns *what* one fused LBM
 // update computes (fused sweep, the SW CPE emulator, in-place
@@ -42,8 +42,9 @@ struct BackendCaps {
   /// Streams in place in a single buffer (Esoteric-Pull).  Implies the
   /// stepInPlaceEven/Odd pair, the rotated phase-1 layout, 0.5x
   /// population memory, no Outflow cells (init() rejects them: the
-  /// extrapolating copy would race the neighbour's own update), and
-  /// rejection by PatchSolver (patch ghost exchange needs the A-B pair).
+  /// extrapolating copy would race the neighbour's own update), the
+  /// Sequential halo schedule with its reverse exchange, and no mixing
+  /// with two-lattice blocks in one DistributedSolver.
   bool inPlaceStreaming = false;
   /// step() over disjoint z-slabs of `range`, run concurrently, equals
   /// one step() over `range`.  The executor slices such backends across

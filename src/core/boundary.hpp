@@ -94,9 +94,6 @@ class MaterialTable {
   std::vector<Material> mats_;
 };
 
-/// True when a cell of this class participates in stream/collide updates.
-constexpr bool is_dynamic(CellClass c) { return c == CellClass::Fluid; }
-
 /// True when neighbours may pull populations straight out of this cell.
 constexpr bool is_pullable(CellClass c) {
   return c == CellClass::Fluid || c == CellClass::VelocityInlet ||

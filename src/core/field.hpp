@@ -52,9 +52,6 @@ struct Grid {
   }
 
   constexpr Box3 interior() const { return {{0, 0, 0}, {nx, ny, nz}}; }
-  constexpr Box3 withHalo() const {
-    return {{-halo, -halo, -halo}, {nx + halo, ny + halo, nz + halo}};
-  }
   friend constexpr bool operator==(const Grid&, const Grid&) = default;
 };
 

@@ -167,14 +167,4 @@ struct StorageTraits<f16> {
   }
 };
 
-/// Name of a storage precision by its checkpoint tag ("f64"/"f32"/"f16").
-inline const char* precision_name(std::uint32_t bits) {
-  switch (bits) {
-    case StorageTraits<double>::kBits: return "f64";
-    case StorageTraits<float>::kBits: return "f32";
-    case StorageTraits<f16>::kBits: return "f16";
-    default: return "unknown";
-  }
-}
-
 }  // namespace swlb

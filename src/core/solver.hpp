@@ -5,9 +5,9 @@
 // and observables and sets the host-thread count; the backend runs the
 // update.
 //
-// DistributedSolver ranks and PatchSolver patches run their blocks on a
-// Solver too, composing its step pieces around their ghost exchange, so
-// the in-place phase logic and the rotated-layout readers live only here.
+// Every DistributedSolver block is a Solver too, composed from its step
+// pieces around the ghost exchange, so the in-place phase logic and the
+// rotated-layout readers live only here.
 #pragma once
 
 #include <chrono>

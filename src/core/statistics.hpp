@@ -74,9 +74,6 @@ class FlowStatistics {
                         reynoldsStress(2, 2, x, y, z));
   }
 
-  /// Copy the mean-velocity field out (for VTK/PPM writers).
-  const VectorField& meanVelocityField() const { return mean_; }
-
   void reset() {
     n_ = 0;
     VectorField fresh(grid());

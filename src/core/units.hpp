@@ -52,7 +52,6 @@ class UnitConverter {
   Real omega() const { return omega_from_tau(tau_); }
   Real latticeVelocity() const { return uLat_; }
   int resolution() const { return n_; }
-  Real physDensity() const { return rho_; }
 
   // -- physical -> lattice --
   Real toLatticeLength(Real m) const { return m / dx_; }

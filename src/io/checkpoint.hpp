@@ -153,8 +153,10 @@ void save_checkpoint(const std::string& path, const Solver<D, S>& solver) {
 /// Whether a checkpoint `interval` steps apart is due: at each multiple
 /// of the interval, or — for an in-place solver, whose odd phases are not
 /// checkpointable — one step after a multiple that fell on an odd phase.
-template <class D, class S>
-bool checkpoint_due(const Solver<D, S>& solver, std::uint64_t interval) {
+/// Any solver with stepsDone(), parity() and inPlace() (a Solver or a
+/// runtime::DistributedSolver, which also defers migrations this way).
+template <class Stepper>
+bool checkpoint_due(const Stepper& solver, std::uint64_t interval) {
   std::uint64_t step = solver.stepsDone();
   if (solver.inPlace() && solver.parity() == 1) return false;
   if (solver.inPlace() && step % interval != 0) --step;

@@ -118,7 +118,7 @@ double Decomposition::imbalance(const MaskField& mask) const {
 }
 
 long long Decomposition::totalHaloArea() const {
-  // Count exactly what HaloExchange ships.  In the paper's 2-D xy scheme
+  // Count exactly what the halo exchange ships.  In the paper's 2-D xy scheme
   // (pz == 1) every block sends, toward each existing neighbour, a 1-wide
   // strip spanning the full z extent *including both z halo layers*
   // (zLo = -1 .. nz+1), and the four diagonal neighbours get 1x1 corner

@@ -54,7 +54,7 @@ class Decomposition {
 
   /// Total halo cells shipped per exchange, summed over all blocks — the
   /// metric minimized when choosing a process grid.  Matches what
-  /// HaloExchange actually sends in the pz == 1 scheme: face strips span
+  /// the halo exchange actually sends in the pz == 1 scheme: face strips span
   /// the z halo (nz + 2) and the four corner columns are counted.
   long long totalHaloArea() const;
 

@@ -1,27 +1,34 @@
 #include "runtime/halo.hpp"
 
+#include <algorithm>
+
 namespace swlb::runtime {
 
-HaloExchange::HaloExchange(const Decomposition& decomp, int rank,
-                           const Periodicity& periodic, const Grid& localGrid)
+namespace {
+/// Forward tag of a strip sent toward (dx, dy): 0..8.
+int tagOf(int dx, int dy) { return (dx + 1) * 3 + (dy + 1); }
+}  // namespace
+
+HaloPlan::HaloPlan(const Decomposition& decomp, int block,
+                   const Periodicity& periodic, const Grid& localGrid)
     : grid_(localGrid) {
   if (localGrid.halo != 1)
-    throw Error("HaloExchange: only halo width 1 is supported");
+    throw Error("HaloPlan: only halo width 1 is supported");
   if (decomp.procGrid().z != 1)
-    throw Error("HaloExchange: z axis must not be decomposed (paper's 2-D xy scheme)");
+    throw Error("HaloPlan: z axis must not be decomposed (paper's 2-D xy scheme)");
 
-  const Int3 myCoords = decomp.coordsOf(rank);
+  const Int3 myCoords = decomp.coordsOf(block);
   const int nx = localGrid.nx, ny = localGrid.ny, nz = localGrid.nz;
 
   for (int dy = -1; dy <= 1; ++dy)
     for (int dx = -1; dx <= 1; ++dx) {
       if (dx == 0 && dy == 0) continue;
-      const int nRank = decomp.rankOf({myCoords.x + dx, myCoords.y + dy, myCoords.z},
-                                      periodic.x, periodic.y, periodic.z);
-      if (nRank < 0) continue;
+      const int peer = decomp.rankOf({myCoords.x + dx, myCoords.y + dy, myCoords.z},
+                                     periodic.x, periodic.y, periodic.z);
+      if (peer < 0) continue;
 
-      Neighbor n;
-      n.rank = nRank;
+      Link n;
+      n.peer = peer;
       n.dx = dx;
       n.dy = dy;
       // Strips span the full z extent including the z halo so corner pulls
@@ -67,51 +74,26 @@ HaloExchange::HaloExchange(const Decomposition& decomp, int rank,
       n.recvTag = tagOf(-dx, -dy);
       if (dx != 0) decomposedX_ = true;
       if (dy != 0) decomposedY_ = true;
-      neighbors_.push_back(std::move(n));
+      links_.push_back(n);
     }
 }
 
-void HaloExchange::exchangeMask(Comm& comm, MaskField& mask) {
-  for (auto& n : neighbors_) {
-    n.recvBuf.resize(static_cast<std::size_t>(n.recvBox.volume()));
-    n.pending = comm.irecv(n.rank, n.recvTag, n.recvBuf.data(),
-                           n.recvBuf.size());
-  }
-  for (auto& n : neighbors_) {
-    n.sendBuf.resize(static_cast<std::size_t>(n.sendBox.volume()));
-    std::size_t k = 0;
-    const Box3& box = n.sendBox;
-    for (int z = box.lo.z; z < box.hi.z; ++z)
-      for (int y = box.lo.y; y < box.hi.y; ++y)
-        for (int x = box.lo.x; x < box.hi.x; ++x)
-          n.sendBuf[k++] = mask(x, y, z);
-    comm.isend(n.rank, n.sendTag, n.sendBuf.data(), n.sendBuf.size());
-  }
-  for (auto& n : neighbors_) {
-    n.pending.wait();
-    std::size_t k = 0;
-    const Box3& box = n.recvBox;
-    for (int z = box.lo.z; z < box.hi.z; ++z)
-      for (int y = box.lo.y; y < box.hi.y; ++y)
-        for (int x = box.lo.x; x < box.hi.x; ++x)
-          mask(x, y, z) = n.recvBuf[k++];
-  }
-}
-
-Box3 HaloExchange::innerBox() const {
+Box3 HaloPlan::innerBox() const {
+  // Clamped, so a one-cell-wide block has an empty inner box and a shell
+  // that sweeps each cell once.
   Box3 b = grid_.interior();
   if (decomposedX_) {
     b.lo.x += 1;
-    b.hi.x -= 1;
+    b.hi.x = std::max(b.lo.x, b.hi.x - 1);
   }
   if (decomposedY_) {
     b.lo.y += 1;
-    b.hi.y -= 1;
+    b.hi.y = std::max(b.lo.y, b.hi.y - 1);
   }
   return b;
 }
 
-std::vector<Box3> HaloExchange::boundaryShell() const {
+std::vector<Box3> HaloPlan::boundaryShell() const {
   std::vector<Box3> shell;
   const Box3 inner = innerBox();
   const Box3 full = grid_.interior();
@@ -128,9 +110,9 @@ std::vector<Box3> HaloExchange::boundaryShell() const {
   return shell;
 }
 
-std::size_t HaloExchange::bytesPerExchange(int q, std::size_t elemBytes) const {
+std::size_t HaloPlan::bytesPerExchange(int q, std::size_t elemBytes) const {
   std::size_t bytes = 0;
-  for (const auto& n : neighbors_)
+  for (const auto& n : links_)
     bytes += static_cast<std::size_t>(n.sendBox.volume()) * q * elemBytes;
   return bytes;
 }

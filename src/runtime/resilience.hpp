@@ -19,13 +19,13 @@
 //      survivors run the message-based liveness probe (retry + backoff per
 //      FaultConfig::probe*), shrink the communicator onto the survivors
 //      (Comm::shrink), rebuild the solver on a fresh N-k-rank
-//      decomposition, and splice-restore the newest complete generation
-//      (rank-count-independent, load_group_checkpoint_elastic).  The
+//      layout, and splice-restore the newest complete generation
+//      (layout-independent, load_group_checkpoint_elastic).  The
 //      post-shrink trajectory is bit-identical to a fresh N-k-rank run
 //      restored from the same generation.
 //
 // Checkpoint generation layout (all writes atomic tmp-then-rename):
-//   <prefix>.g<step>.rank<r>.ckpt   one checksummed block per rank
+//   <prefix>.g<step>.rank<b>.ckpt   one checksummed file per block b
 //   <prefix>.g<step>.manifest      root-written commit record (appears
 //                                  only after a barrier proves all blocks
 //                                  landed; a generation without a valid
@@ -83,7 +83,7 @@ struct FaultConfig {
 };
 
 /// Rotated multi-generation group checkpoints for a DistributedSolver.
-/// Every rank writes its own block; the root's manifest commits a
+/// Every rank writes its own blocks; the root's manifest commits a
 /// generation.  Construction is collective: it garbage-collects crash
 /// debris and scans the disk (so recovery works across real process
 /// restarts, not just within one process), and barriers so no rank can
@@ -128,7 +128,7 @@ class DistributedCheckpointController {
   /// was written.
   bool maybeSave(DistributedSolver<D, S>& solver) {
     const std::uint64_t step = solver.stepsDone();
-    if (!io::checkpoint_due(solver.block(), policy_.interval)) return false;
+    if (!io::checkpoint_due(solver, policy_.interval)) return false;
     if (!generations_.empty() && generations_.back() == step) return false;
     save(solver);
     return true;
@@ -137,9 +137,9 @@ class DistributedCheckpointController {
   /// Roll every rank back to the newest generation whose manifest AND all
   /// of its blocks validate on every rank (allreduce Min agreement per
   /// candidate, so all ranks restore the same generation or none).  The
-  /// block headers are validated *striped over the manifest's old rank
-  /// count* — which may exceed the live one after a shrink — and the load
-  /// itself is elastic: exact reload on a matching layout, splice-restore
+  /// block headers are validated *striped over the manifest's block
+  /// count* — which may exceed the live rank count — and the load itself
+  /// is elastic: exact reload on a matching patch grid, splice-restore
   /// onto a different one.  Collective; throws when no complete generation
   /// exists.
   std::uint64_t restoreNewestComplete(DistributedSolver<D, S>& solver) {
@@ -210,8 +210,8 @@ class DistributedCheckpointController {
 
  private:
   /// One rank's share of validating a candidate generation: the manifest
-  /// plus every block header congruent with it, striped over the *old*
-  /// rank count so shrunken worlds still cover all blocks.
+  /// plus every block header congruent with it, striped over the
+  /// manifest's blocks so any live rank count covers them all.
   bool validateGeneration(std::uint64_t step) const {
     try {
       const GroupManifest m = read_group_manifest(generationPrefix(step));
@@ -261,12 +261,11 @@ class DistributedCheckpointController {
     return found;
   }
 
-  /// Rotate a generation off disk.  The manifest records how many blocks
-  /// it has (possibly more than the live rank count after a shrink); each
-  /// rank deletes a stripe, and the root deletes the manifest first so a
-  /// half-deleted generation is never mistaken for a complete one.  Blocks
-  /// a racing rank already saw the manifest vanish for are swept by the
-  /// next garbageCollect.
+  /// Rotate a generation off disk (collective).  The manifest records how
+  /// many blocks it has (possibly more than the live rank count); every
+  /// rank reads it before the root deletes it — first, so a half-deleted
+  /// generation is never mistaken for a complete one — and then deletes
+  /// its stripe of the blocks.
   void removeGeneration(std::uint64_t step) {
     const std::string gp = generationPrefix(step);
     int blocks = comm_.size();
@@ -274,6 +273,7 @@ class DistributedCheckpointController {
       blocks = std::max(blocks, read_group_manifest(gp).ranks);
     } catch (const Error&) {
     }
+    comm_.barrier();  // every rank knows the block count
     if (comm_.rank() == 0)
       std::remove(group_manifest_path(gp).c_str());
     for (int b = comm_.rank(); b < blocks; b += comm_.size())
@@ -469,6 +469,10 @@ class ResilientRunner {
                          .count());
         continue;
       }
+      // Every rank is past an accepted step, so the rebalance collectives
+      // line up; they run outside the rollback's reach (a failure in them
+      // propagates as an error).
+      solver_->maybeRebalance();
       ckpt_.maybeSave(*solver_);
     }
     comm.setRecvTimeout(oldTimeout);

@@ -39,11 +39,6 @@ class PipelineModel {
     return serial + scheduling_ * (overlapped - serial);
   }
 
-  /// Speedup of this schedule over the naive (serialized) one.
-  double speedupOverNaive(const InstructionMix& mix) const {
-    return PipelineModel(0).cycles(mix) / cycles(mix);
-  }
-
   /// Best possible speedup for the mix (perfect software pipelining).
   static double idealSpeedup(const InstructionMix& mix) {
     return PipelineModel(0).cycles(mix) / PipelineModel(1).cycles(mix);

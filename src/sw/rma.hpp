@@ -40,14 +40,6 @@ class RmaFabric {
     put(dstCpe, srcCpe, remote, local);
   }
 
-  /// Row or column broadcast.
-  template <typename T>
-  void broadcastRow(int srcCpe, std::span<const T> data) {
-    (void)srcCpe;
-    ++stats_.broadcasts;
-    stats_.bytes += data.size_bytes();
-  }
-
   const FabricStats& stats() const { return stats_; }
   void resetStats() { stats_ = FabricStats{}; }
   double modeledSeconds(double bandwidth) const {

@@ -271,8 +271,8 @@ TuningPlan planFromJson(const JsonValue& obj) {
   // the knob was called the kernel variant carry "kernel_variant" with
   // the same value set; older plans have neither and mean "fused".
   // Either key may name a backend that has since been folded into
-  // another (currentBackendName).  A "patch_backends" key from plans of
-  // the retired per-patch tuner is ignored.
+  // another (currentBackendName).  The "patch_backends" and
+  // "patches_per_rank" keys of older plans are ignored.
   const auto be = obj.object.find("backend");
   const auto kv = obj.object.find("kernel_variant");
   if (be != obj.object.end()) {
@@ -283,14 +283,6 @@ TuningPlan planFromJson(const JsonValue& obj) {
     if (kv->second.type != JsonValue::Type::String)
       throw Error("tuning cache: \"kernel_variant\" is not a string");
     p.backend = currentBackendName(kv->second.str);
-  }
-  // Tolerant read: plans written before the patch knob existed mean one
-  // block per rank.
-  const auto ppr = obj.object.find("patches_per_rank");
-  if (ppr != obj.object.end()) {
-    if (ppr->second.type != JsonValue::Type::Number)
-      throw Error("tuning cache: \"patches_per_rank\" is not a number");
-    p.patchesPerRank = static_cast<int>(ppr->second.number);
   }
   p.precision = stringField(obj, "precision");
   p.precisionAdvice = stringField(obj, "precision_advice");
@@ -341,8 +333,7 @@ std::string to_json(const TuningPlan& plan) {
   }
   os << "}, \"halo_mode\": \"" << halo_mode_name(plan.haloMode)
      << "\", \"kernel_variant\": \"" << escape(plan.backend)
-     << "\", \"patches_per_rank\": " << plan.patchesPerRank
-     << ", \"precision\": \"" << escape(plan.precision)
+     << "\", \"precision\": \"" << escape(plan.precision)
      << "\", \"precision_advice\": \"" << escape(plan.precisionAdvice)
      << "\", \"ring_threshold_bytes\": " << plan.ringThresholdBytes
      << ", \"source\": \"" << escape(plan.source) << "\"}";

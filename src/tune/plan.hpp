@@ -50,7 +50,7 @@ struct TuningPlan {
   /// LDM x-chunk width for sw::SwKernelConfig::chunkX (cells; >= 1 and
   /// <= sw::max_chunk_x for the target block).
   int chunkX = 32;
-  /// Stream/collide backend for Solver/DistributedSolver/PatchSolver
+  /// Stream/collide backend for Solver/DistributedSolver
   /// (registry name, core/backend.hpp: "fused" | "esoteric" | ...).
   /// "fused" unless wall-clock backend trials (TunerConfig::
   /// backendTrialSteps > 0) found a faster one.  Serialized as "backend";
@@ -59,11 +59,6 @@ struct TuningPlan {
   /// "simd" and "threads" read as "fused", which runs the same kernel at
   /// the solver's host-thread count.
   std::string backend = "fused";
-  /// Patches per rank for the patch-aware runtime (runtime/patches,
-  /// DESIGN.md §13): granularity of the load balancer.  1 keeps the
-  /// classic one-block-per-rank split; absent from old cache files,
-  /// which parse as 1.
-  int patchesPerRank = 1;
   /// Storage precision the plan was tuned for (matches the key).
   std::string precision = "f64";
   /// Human-readable advisory: what a smaller storage type would buy and

@@ -231,8 +231,8 @@ TuningPlan Tuner::plan(const TuningInput& in) const {
   const runtime::Decomposition decomp(in.extent, procGrid);
   const Int3 local = decomp.localSize(0);
   const Grid localGrid(local.x, local.y, local.z);
-  const runtime::HaloExchange halo(decomp, 0, Periodicity{true, true, true},
-                                   localGrid);
+  const runtime::HaloPlan halo(decomp, 0, Periodicity{true, true, true},
+                               localGrid);
   const std::size_t haloBytes = halo.bytesPerExchange(q, elem);
   const int haloMessages = halo.neighborCount();
 
@@ -397,12 +397,9 @@ TuningPlan Tuner::plan(const TuningInput& in) const {
     plan.source = "measured";
   }
 
-  plan.patchesPerRank = std::max(1, cfg_.patchesPerRank);
-
   obs::count("tune.plans");
   obs::gaugeSet("tune.backend", backendGaugeValue(plan.backend));
   obs::gaugeSet("tune.chunk_x", plan.chunkX);
-  obs::gaugeSet("tune.patches_per_rank", plan.patchesPerRank);
   obs::gaugeSet("tune.ring_threshold_bytes",
                 static_cast<double>(plan.ringThresholdBytes));
   obs::gaugeSet("tune.halo_overlap",
@@ -453,7 +450,6 @@ std::string summary(const TuningPlan& plan) {
   os << "halo=" << halo_mode_name(plan.haloMode)
      << " ring_threshold=" << plan.ringThresholdBytes << "B"
      << " chunk_x=" << plan.chunkX << " backend=" << plan.backend
-     << " patches_per_rank=" << plan.patchesPerRank
      << " precision=" << plan.precision << " source=" << plan.source;
   return os.str();
 }

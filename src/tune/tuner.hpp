@@ -65,11 +65,6 @@ struct TunerConfig {
   /// skips the ladder and keeps the plan's "fused" default — and the
   /// search byte-deterministic.
   int backendTrialSteps = 0;
-  /// Patch granularity recorded in the plan for the patch-aware runtime
-  /// (runtime/patches): patches per rank handed to PatchSolver::Config.
-  /// Pure pass-through today (the balance win depends on the mask, which
-  /// the tuner does not see); >= 1.
-  int patchesPerRank = 1;
 };
 
 class Tuner {
@@ -104,7 +99,7 @@ class Tuner {
 /// DistributedSolver: halo scheduling (write into Config::mode).
 void apply(const TuningPlan& plan, runtime::HaloMode& mode);
 /// Stream/collide backend by registry name (Solver::setBackend /
-/// DistributedSolver::Config::backend / PatchSolver::Config::backend).
+/// DistributedSolver::Config::backend).
 /// Names that are not catalogued (newer plan files) keep the current
 /// value (forward compatibility).
 void apply(const TuningPlan& plan, std::string& backend);

@@ -108,7 +108,7 @@ TEST(Decomposition, RejectsInvalidConfigurations) {
 
 TEST(Decomposition, HaloAreaModelMatchesHaloExchangeVolume) {
   // Cost-model regression (the totalHaloArea undercount bugfix): on a
-  // 2x2 grid the model must equal the cell volume HaloExchange actually
+  // 2x2 grid the model must equal the cell volume HaloPlan actually
   // ships — corner columns included, strips spanning the z halo.
   // bytesPerExchange is in turn pinned to the live halo.bytes wire
   // counters by test_obs_integration.HaloBytesCounterMatchesModel.
@@ -119,7 +119,7 @@ TEST(Decomposition, HaloAreaModelMatchesHaloExchangeVolume) {
   std::size_t wire = 0;
   for (int r = 0; r < d.rankCount(); ++r) {
     const Int3 n = d.localSize(r);
-    HaloExchange h(d, r, Periodicity{false, false, false},
+    HaloPlan h(d, r, Periodicity{false, false, false},
                    Grid(n.x, n.y, n.z));
     wire += h.bytesPerExchange(q, elem);
   }

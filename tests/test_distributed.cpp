@@ -16,7 +16,7 @@ using swlb::Solver;
 
 struct DistCase {
   int ranks;
-  Int3 procGrid;
+  Int3 patchGrid;
   HaloMode mode;
   const char* label;
 };
@@ -53,7 +53,7 @@ TEST_P(DistributedEquivalence, MatchesSingleBlockReference) {
     cfg.collision = col;
     cfg.periodic = per;
     cfg.mode = tc.mode;
-    cfg.procGrid = tc.procGrid;
+    cfg.patchGrid = tc.patchGrid;
     DistributedSolver<D3Q19> solver(c, cfg);
     const auto inlet = solver.materials().addVelocityInlet({0.04, 0, 0});
     const auto out = solver.materials().addOutflow({-1, 0, 0});
@@ -125,7 +125,7 @@ TEST(DistributedPeriodic, FullyPeriodicMatchesReference) {
     cfg.collision = col;
     cfg.periodic = per;
     cfg.mode = HaloMode::Overlap;
-    cfg.procGrid = {2, 2, 1};
+    cfg.patchGrid = {2, 2, 1};
     DistributedSolver<D3Q19> solver(c, cfg);
     solver.finalizeMask();
     solver.initField([&](int x, int y, int z, Real& rho, Vec3& u) {
@@ -196,7 +196,7 @@ TEST(DistributedKernelVariants, FourRankBitIdentityToFusedReference) {
       cfg.mode = tc.mode;
       cfg.backend = tc.backend;
       cfg.hostThreads = 2;
-      cfg.procGrid = {2, 2, 1};
+      cfg.patchGrid = {2, 2, 1};
       DistributedSolver<D3Q19> solver(c, cfg);
       solver.finalizeMask();
       solver.initField(init);
@@ -235,7 +235,7 @@ TEST(DistributedPhysics, TaylorGreenDecayAcrossRanks) {
     cfg.collision = col;
     cfg.periodic = {true, true, true};
     cfg.mode = HaloMode::Overlap;
-    cfg.procGrid = {2, 2, 1};
+    cfg.patchGrid = {2, 2, 1};
     DistributedSolver<D2Q9> solver(c, cfg);
     solver.finalizeMask();
     solver.initField([&](int x, int y, int, Real& rho, Vec3& u) {
@@ -294,7 +294,7 @@ TEST(DistributedAdvancedBcs, ZouHeAndPorousAcrossRankBoundaries) {
     cfg.collision = col;
     cfg.periodic = per;
     cfg.mode = HaloMode::Overlap;
-    cfg.procGrid = {2, 2, 1};
+    cfg.patchGrid = {2, 2, 1};
     DistributedSolver<D3Q19> solver(c, cfg);
     auto [in, out, porous] = setup(solver);
     solver.paintGlobal({{0, 0, 0}, {1, global.y, global.z}}, in);
@@ -323,7 +323,7 @@ TEST(DistributedSolverApi, MassIsConservedGlobally) {
     cfg.global = {12, 12, 6};
     cfg.collision.omega = 1.4;
     cfg.periodic = {true, true, true};
-    cfg.procGrid = {2, 2, 1};
+    cfg.patchGrid = {2, 2, 1};
     DistributedSolver<D3Q19> solver(c, cfg);
     solver.finalizeMask();
     solver.initUniform(1.0, {0.02, -0.01, 0.01});
@@ -340,8 +340,9 @@ TEST(DistributedSolverApi, HaloBytesMatchPlanArea) {
     typename DistributedSolver<D3Q19>::Config cfg;
     cfg.global = {16, 16, 8};
     cfg.periodic = {false, false, false};
-    cfg.procGrid = {2, 2, 1};
+    cfg.patchGrid = {2, 2, 1};
     DistributedSolver<D3Q19> solver(c, cfg);
+    solver.finalizeMask();
     // Each rank owns 8x8x8; 2 faces of 8x(8+2 halo) cells + 1 corner
     // column of (8+2), all times Q populations of 8 bytes.
     const std::size_t expect =
@@ -357,7 +358,7 @@ TEST(DistributedSolverApi, RunMeasuredAgreesAcrossRanks) {
     typename DistributedSolver<D3Q19>::Config cfg;
     cfg.global = {16, 8, 8};
     cfg.periodic = {true, true, true};
-    cfg.procGrid = {2, 1, 1};
+    cfg.patchGrid = {2, 1, 1};
     DistributedSolver<D3Q19> solver(c, cfg);
     solver.finalizeMask();
     solver.initUniform(1.0, {0.01, 0, 0});
@@ -368,14 +369,22 @@ TEST(DistributedSolverApi, RunMeasuredAgreesAcrossRanks) {
 }
 
 TEST(DistributedSolverApi, RejectsMismatchedProcessGrid) {
+  // Every rank needs a block: a patch grid with fewer patches than ranks
+  // throws on every rank, naming the shortfall.
   World world(2);
-  EXPECT_THROW(world.run([](Comm& c) {
+  world.run([](Comm& c) {
     typename DistributedSolver<D3Q19>::Config cfg;
     cfg.global = {8, 8, 8};
-    cfg.procGrid = {3, 1, 1};  // 3 blocks for 2 ranks
-    DistributedSolver<D3Q19> solver(c, cfg);
-  }),
-               Error);
+    cfg.patchGrid = {1, 1, 1};  // 1 block for 2 ranks
+    try {
+      DistributedSolver<D3Q19> solver(c, cfg);
+      ADD_FAILURE() << "accepted 1 patch for 2 ranks";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("1 patches for 2 ranks"),
+                std::string::npos)
+          << e.what();
+    }
+  });
 }
 
 TEST(DistributedSolverApi, OverlapRejectsBackendsThatCannotSplitTheSweep) {

@@ -393,7 +393,7 @@ TEST(ChromeTrace, GoldenStructureFourRankOverlapRun) {
   world.run([&](Comm& comm) {
     DistributedSolver<D2Q9>::Config cfg;
     cfg.global = {16, 16, 1};
-    cfg.procGrid = {2, 2, 1};
+    cfg.patchGrid = {2, 2, 1};
     cfg.periodic = {true, true, false};
     cfg.mode = HaloMode::Overlap;
     DistributedSolver<D2Q9> solver(comm, cfg);
@@ -453,7 +453,7 @@ TEST(ChromeTrace, SequentialModeEmitsExchangePhase) {
   world.run([&](Comm& comm) {
     DistributedSolver<D2Q9>::Config cfg;
     cfg.global = {8, 8, 1};
-    cfg.procGrid = {2, 1, 1};
+    cfg.patchGrid = {2, 1, 1};
     cfg.periodic = {true, true, false};
     cfg.mode = HaloMode::Sequential;
     DistributedSolver<D2Q9> solver(comm, cfg);

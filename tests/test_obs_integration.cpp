@@ -35,7 +35,7 @@ using runtime::WorldConfig;
 DistributedSolver<D2Q9>::Config solverConfig(HaloMode mode) {
   DistributedSolver<D2Q9>::Config cfg;
   cfg.global = {16, 16, 1};
-  cfg.procGrid = {2, 2, 1};
+  cfg.patchGrid = {2, 2, 1};
   cfg.periodic = {true, true, false};
   cfg.mode = mode;
   return cfg;

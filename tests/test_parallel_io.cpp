@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "core/solver.hpp"
+#include "obs/metrics.hpp"
 #include "runtime/parallel_io.hpp"
 
 namespace swlb::runtime {
@@ -31,7 +32,7 @@ DistributedSolver<D2Q9>::Config tgvConfig(int n) {
   cfg.global = {n, n, 1};
   cfg.collision.omega = 1.3;
   cfg.periodic = {true, true, true};
-  cfg.procGrid = {2, 2, 1};
+  cfg.patchGrid = {2, 2, 1};
   return cfg;
 }
 
@@ -98,7 +99,7 @@ TEST(GroupCheckpoint, ManifestRecordsDecomposition) {
     DistributedSolver<D2Q9>::Config cfg;
     cfg.global = {16, 8, 1};
     cfg.periodic = {true, true, true};
-    cfg.procGrid = {2, 1, 1};
+    cfg.patchGrid = {2, 1, 1};
     DistributedSolver<D2Q9> solver(c, cfg);
     solver.finalizeMask();
     solver.initUniform(1.0, {0, 0, 0});
@@ -130,7 +131,7 @@ TEST(GroupCheckpoint, RejectsWrongDecomposition) {
   World world(2);
   EXPECT_THROW(world.run([&](Comm& c) {
     DistributedSolver<D2Q9>::Config cfg = tgvConfig(16);
-    cfg.procGrid = {2, 1, 1};
+    cfg.patchGrid = {2, 1, 1};
     DistributedSolver<D2Q9> solver(c, cfg);
     initTgv(solver, 16);
     load_group_checkpoint(solver, prefix);
@@ -143,12 +144,106 @@ TEST(GroupCheckpoint, MissingManifestThrows) {
   World world(1);
   EXPECT_THROW(world.run([&](Comm& c) {
     DistributedSolver<D2Q9>::Config cfg = tgvConfig(8);
-    cfg.procGrid = {1, 1, 1};
+    cfg.patchGrid = {1, 1, 1};
     DistributedSolver<D2Q9> solver(c, cfg);
     initTgv(solver, 8);
     load_group_checkpoint(solver, tmpPrefix("swlb_group_missing"));
   }),
                Error);
+}
+
+TEST(GroupCheckpoint, RejectedRestoreLeavesSolverUnchanged) {
+  // A generation whose block 3 came from another step must be refused
+  // before the solver changes: no step count, parity or population of
+  // the live run may move, even though blocks 0..2 are fine.
+  const int n = 16;
+  const std::string prefix = tmpPrefix("swlb_group_mixed");
+  const std::string other = tmpPrefix("swlb_group_other");
+  {
+    World world(4);
+    world.run([&](Comm& c) {
+      DistributedSolver<D2Q9> solver(c, tgvConfig(n));
+      initTgv(solver, n);
+      solver.run(4);
+      save_group_checkpoint(solver, other);
+      solver.run(3);  // odd: the generation restores parity 1
+      save_group_checkpoint(solver, prefix);
+    });
+  }
+  fs::copy_file(group_checkpoint_path(other, 3),
+                group_checkpoint_path(prefix, 3),
+                fs::copy_options::overwrite_existing);
+  World world(1);
+  world.run([&](Comm& c) {
+    DistributedSolver<D2Q9>::Config cfg = tgvConfig(n);
+    cfg.patchGrid = {1, 1, 1};
+    DistributedSolver<D2Q9> solver(c, cfg);
+    initTgv(solver, n);
+    const PopulationField before = solver.f();
+    EXPECT_THROW(load_group_checkpoint_elastic(solver, prefix), Error);
+    EXPECT_EQ(solver.stepsDone(), 0u);
+    EXPECT_EQ(solver.parity(), 0);
+    const PopulationField& after = solver.f();
+    ASSERT_EQ(after.size(), before.size());
+    for (std::size_t i = 0; i < after.size(); ++i)
+      ASSERT_EQ(after.data()[i], before.data()[i]) << i;
+  });
+  removeGroup(prefix, 4);
+  removeGroup(other, 4);
+}
+
+TEST(GroupCheckpoint, PatchLayoutRestoresExactAndSpliced) {
+  // Blocks, not ranks, own the files.  A generation of 2 ranks x 2
+  // patches reloads exactly onto the same patch grid at any rank count
+  // and splices onto 4 ranks x 1 patch of another grid; every restored
+  // run continues bitwise equal to the run that never stopped.
+  const int n = 24, total = 40, atStep = 16;
+  const std::string prefix = tmpPrefix("swlb_group_patches");
+  PopulationField reference;
+  {
+    World world(2);
+    world.run([&](Comm& c) {
+      DistributedSolver<D2Q9> solver(c, tgvConfig(n));
+      initTgv(solver, n);
+      solver.run(atStep);
+      save_group_checkpoint(solver, prefix);
+      solver.run(total - atStep);
+      PopulationField g = solver.gatherPopulations(0);
+      if (c.rank() == 0) reference = std::move(g);
+    });
+  }
+  struct Restore {
+    int ranks;
+    Int3 patchGrid;
+    bool spliced;
+  };
+  for (const Restore& r : {Restore{2, {2, 2, 1}, false},
+                           Restore{1, {2, 2, 1}, false},
+                           Restore{4, {4, 1, 1}, true}}) {
+    SCOPED_TRACE(std::to_string(r.ranks) + " ranks");
+    obs::MetricsRegistry reg;
+    WorldConfig wcfg;
+    wcfg.metrics = &reg;
+    World world(r.ranks, wcfg);
+    world.run([&](Comm& c) {
+      DistributedSolver<D2Q9>::Config cfg = tgvConfig(n);
+      cfg.patchGrid = r.patchGrid;
+      DistributedSolver<D2Q9> solver(c, cfg);
+      initTgv(solver, n);
+      load_group_checkpoint_elastic(solver, prefix);
+      EXPECT_EQ(solver.stepsDone(), static_cast<std::uint64_t>(atStep));
+      solver.run(total - atStep);
+      PopulationField got = solver.gatherPopulations(0);
+      if (c.rank() == 0) {
+        ASSERT_EQ(got.size(), reference.size());
+        for (std::size_t i = 0; i < got.size(); ++i)
+          ASSERT_EQ(got.data()[i], reference.data()[i]) << i;
+      }
+    });
+    EXPECT_EQ(reg.histogramSummary("checkpoint.splice_restore").count,
+              r.spliced ? 4u : 0u);
+  }
+  removeGroup(prefix, 4);
 }
 
 TEST(GatheredOutput, MacroscopicFieldsMatchSerialReference) {

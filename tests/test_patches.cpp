@@ -1,8 +1,10 @@
 // Patch-based decomposition (runtime/patches, DESIGN.md §13): SFC
 // ordering determinism, weighted-bisection balance on skewed masks, and
-// the bit-identity contract — any patch layout, intra- or inter-rank,
-// with or without mid-run migration, must reproduce the monolithic
-// single-block solver exactly (same fused pull kernel, same ghost data).
+// the bit-identity contract — any patch layout of DistributedSolver,
+// intra- or inter-rank, under either halo schedule, with or without
+// mid-run migration, two-lattice or in place, must reproduce the
+// monolithic single-block solver exactly (same pull update, same ghost
+// data).  The suite keeps its historical name.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,13 +12,17 @@
 
 #include "core/solver.hpp"
 #include "kernel_conformance.hpp"
-#include "runtime/patches.hpp"
+#include "obs/metrics.hpp"
+#include "runtime/distributed_solver.hpp"
 
 namespace swlb::runtime {
 namespace {
 
 using conformance::Scenario;
 using swlb::Solver;
+using Engine = DistributedSolver<D3Q19>;
+
+constexpr HaloMode kBothModes[] = {HaloMode::Sequential, HaloMode::Overlap};
 
 /// Same smooth deterministic field as conformance::initSmooth, as a free
 /// function so the monolithic reference and the patch solver share it.
@@ -73,12 +79,13 @@ Solver<D3Q19> makeReference(const Scenario& sc) {
 }
 
 /// Run the scenario on `ranks` rank-threads with the given patch grid and
-/// compare gathered populations against the monolithic reference after
-/// every step.  With `migrateAt > 0`, force a rebalance (skewed explicit
-/// weights) at that step and require at least one actual migration.
+/// halo schedule and compare gathered populations against the monolithic
+/// reference after every step.  With `migrateAt > 0`, force a rebalance
+/// (skewed explicit weights) at that step and require at least one actual
+/// migration.
 void expectPatchRunMatchesMonolithic(const Scenario& sc, int ranks,
                                      const Int3& patchGrid, int steps,
-                                     int migrateAt = 0,
+                                     HaloMode mode, int migrateAt = 0,
                                      std::uint64_t rebalanceEvery = 0,
                                      const std::string& backend = "fused",
                                      std::map<int, std::string>
@@ -86,22 +93,24 @@ void expectPatchRunMatchesMonolithic(const Scenario& sc, int ranks,
                                      int hostThreads = 1) {
   SCOPED_TRACE(sc.name + " ranks=" + std::to_string(ranks) + " patches=" +
                std::to_string(patchGrid.x) + "x" +
-               std::to_string(patchGrid.y));
+               std::to_string(patchGrid.y) + " " + backend +
+               (mode == HaloMode::Overlap ? " overlap" : " sequential"));
   Solver<D3Q19> ref = makeReference(sc);
 
   World world(ranks);
   world.run([&](Comm& c) {
-    typename PatchSolver<D3Q19>::Config cfg;
+    Engine::Config cfg;
     cfg.global = sc.extent;
     cfg.collision.omega = 1.7;
     cfg.periodic = sc.periodic;
+    cfg.mode = mode;
     cfg.patchGrid = patchGrid;
     cfg.rebalanceEvery = rebalanceEvery;
     cfg.rebalanceThreshold = 1.0001;  // hair trigger for the measured path
     cfg.backend = backend;
     cfg.patchBackends = patchBackends;
     cfg.hostThreads = hostThreads;
-    PatchSolver<D3Q19> solver(c, cfg);
+    Engine solver(c, cfg);
     const Grid g(sc.extent.x, sc.extent.y, sc.extent.z);
     if (sc.paint) sc.paint(solver.globalMask(), solver.materials(), g);
     solver.finalizeMask();
@@ -112,7 +121,7 @@ void expectPatchRunMatchesMonolithic(const Scenario& sc, int ranks,
       // runs on every rank-thread, and concurrent ref.step() calls would
       // race (and over-step) the reference.
       if (c.rank() == 0) ref.step();
-      solver.step();
+      solver.run(1);  // the step, then the measured rebalance when due
       if (migrateAt > 0 && s + 1 == migrateAt) {
         // Skew one patch's weight so the greedy planner must move work
         // off its owner; every rank passes the identical vector.  The
@@ -144,12 +153,20 @@ void expectPatchRunMatchesMonolithic(const Scenario& sc, int ranks,
       const int kFailTag = (1 << 21) + s;
       if (c.rank() == 0) {
         const PopulationField& expect = ref.f();
+        // Wall cells are a scratch mailbox under in-place streaming
+        // (conformance::expectEquivalent skips them the same way).
+        auto mailbox = [&](int x, int y, int z) {
+          const CellClass cls = ref.materials()[ref.mask()(x, y, z)].cls;
+          return solver.inPlace() &&
+                 (cls == CellClass::Solid || cls == CellClass::MovingWall);
+        };
         int bad = 0, bq = 0, bx = 0, by = 0, bz = 0;
         for (int q = 0; q < D3Q19::Q; ++q)
           for (int z = 0; z < sc.extent.z; ++z)
             for (int y = 0; y < sc.extent.y; ++y)
               for (int x = 0; x < sc.extent.x; ++x)
-                if (gathered(q, x, y, z) != expect(q, x, y, z)) {
+                if (!mailbox(x, y, z) &&
+                    gathered(q, x, y, z) != expect(q, x, y, z)) {
                   if (bad == 0) {
                     bq = q;
                     bx = x;
@@ -280,15 +297,17 @@ TEST(PatchLayout, PlanRebalanceBringsImbalanceUnderThreshold) {
 
 TEST(PatchSolver, IntraRankPatchFacesMatchMonolithic) {
   // One rank, four patches: every patch face is a local copy.
-  for (const Scenario& sc : patchScenarios())
-    expectPatchRunMatchesMonolithic(sc, 1, {2, 2, 1}, 6);
+  for (HaloMode mode : kBothModes)
+    for (const Scenario& sc : patchScenarios())
+      expectPatchRunMatchesMonolithic(sc, 1, {2, 2, 1}, 6, mode);
 }
 
 TEST(PatchSolver, InterRankPatchFacesMatchMonolithic) {
   // Four ranks, sixteen patches (down to 1-cell-wide strips on the 7-
   // and 5-cell axes): faces mix local copies and tagged messages.
-  for (const Scenario& sc : patchScenarios())
-    expectPatchRunMatchesMonolithic(sc, 4, {4, 4, 1}, 6);
+  for (HaloMode mode : kBothModes)
+    for (const Scenario& sc : patchScenarios())
+      expectPatchRunMatchesMonolithic(sc, 4, {4, 4, 1}, 6, mode);
 }
 
 TEST(PatchSolver, MigrateThenContinueIsBitIdentical) {
@@ -311,7 +330,9 @@ TEST(PatchSolver, MigrateThenContinueIsBitIdentical) {
                        mask(x, y, z) = MaterialTable::kSolid;
                },
                true};
-  expectPatchRunMatchesMonolithic(cyl, 4, {4, 2, 1}, 12, /*migrateAt=*/6);
+  for (HaloMode mode : kBothModes)
+    expectPatchRunMatchesMonolithic(cyl, 4, {4, 2, 1}, 12, mode,
+                                    /*migrateAt=*/6);
 }
 
 TEST(PatchSolver, MeasuredRebalanceKeepsBitIdentity) {
@@ -325,8 +346,9 @@ TEST(PatchSolver, MeasuredRebalanceKeepsBitIdentity) {
                       mask(x, y, z) = MaterialTable::kSolid;
               },
               false};
-  expectPatchRunMatchesMonolithic(sc, 2, {4, 2, 1}, 9, 0,
-                                  /*rebalanceEvery=*/3);
+  for (HaloMode mode : kBothModes)
+    expectPatchRunMatchesMonolithic(sc, 2, {4, 2, 1}, 9, mode, 0,
+                                    /*rebalanceEvery=*/3);
 }
 
 TEST(PatchSolver, FluidWeightedAssignmentSkipsSolidHeavyImbalance) {
@@ -336,11 +358,11 @@ TEST(PatchSolver, FluidWeightedAssignmentSkipsSolidHeavyImbalance) {
   const Int3 global{32, 16, 4};
   World world(4);
   world.run([&](Comm& c) {
-    typename PatchSolver<D3Q19>::Config cfg;
+    Engine::Config cfg;
     cfg.global = global;
     cfg.periodic = {true, true, true};
     cfg.patchGrid = {8, 4, 1};
-    PatchSolver<D3Q19> solver(c, cfg);
+    Engine solver(c, cfg);
     solver.paintGlobal({{0, 0, 0}, {16, 16, 4}}, MaterialTable::kSolid);
     solver.finalizeMask();
     const std::vector<double> w = solver.layout().fluidWeights(
@@ -368,51 +390,128 @@ TEST(PatchSolver, HeterogeneousPatchBackendsMatchMonolithic) {
   // packs the strip and a *different* receiver backend unpacks it, across
   // the executor's z-slab split of the sub-range patches (swcpe gets one
   // whole-block call), and across a forced migration that rebuilds a
-  // patch's backend on its new owner from the replicated plan.
+  // patch's backend on its new owner from the replicated plan.  swcpe
+  // sweeps whole blocks, so the plan runs under Sequential.
   std::map<int, std::string> plan{{0, "swcpe"}, {3, "swcpe"}};
   for (const Scenario& sc : patchScenarios())
-    expectPatchRunMatchesMonolithic(sc, 2, {2, 2, 1}, 6, /*migrateAt=*/3, 0,
-                                    "fused", plan, /*hostThreads=*/2);
+    expectPatchRunMatchesMonolithic(sc, 2, {2, 2, 1}, 6, HaloMode::Sequential,
+                                    /*migrateAt=*/3, 0, "fused", plan,
+                                    /*hostThreads=*/2);
+}
+
+TEST(PatchSolver, EsotericPatchesMatchMonolithic) {
+  // In-place blocks on 2 ranks x 2 patches: the forward exchange and the
+  // reverse one that folds each even sweep's outward scatter back mix
+  // local copies (x faces) and messages (y faces, corners), and a forced
+  // migration at an even phase rebuilds a block on its new owner.  After
+  // every step, odd phases included, the decoded populations equal the
+  // two-lattice monolithic reference.
+  for (const Scenario& sc : patchScenarios()) {
+    if (sc.hasOutflow) continue;  // in-place backends reject Outflow
+    expectPatchRunMatchesMonolithic(sc, 2, {2, 2, 1}, 8, HaloMode::Sequential,
+                                    /*migrateAt=*/4, 0, "esoteric");
+  }
+}
+
+TEST(PatchSolver, InPlaceBlocksMigrateAtEvenPhasesOnly) {
+  // No block can be rebuilt from the rotated layout an in-place sweep
+  // leaves after an odd step: rebalanceNow throws there, and a measured
+  // rebalance that falls due at an odd phase runs one step later.
+  obs::MetricsRegistry reg;
+  WorldConfig wcfg;
+  wcfg.metrics = &reg;
+  World world(2, wcfg);
+  world.run([&](Comm& c) {
+    Engine::Config cfg;
+    cfg.global = {8, 8, 2};
+    cfg.periodic = {true, true, true};
+    cfg.mode = HaloMode::Sequential;
+    cfg.patchGrid = {2, 2, 1};
+    cfg.backend = "esoteric";
+    cfg.rebalanceEvery = 3;
+    Engine solver(c, cfg);
+    solver.initUniform(1.0, {0.01, 0, 0});
+    solver.run(3);
+    const std::vector<double> w = solver.measuredWeights();
+    EXPECT_THROW(solver.rebalanceNow(w, 1.0), Error);
+    c.barrier();
+    if (c.rank() == 0) {
+      EXPECT_EQ(reg.histogramSummary("patch.rebalance").count, 0u);
+    }
+    c.barrier();
+    solver.run(1);
+    c.barrier();
+    if (c.rank() == 0) {  // one deferred check per rank, at step 4
+      EXPECT_EQ(reg.histogramSummary("patch.rebalance").count, 2u);
+    }
+  });
 }
 
 TEST(PatchSolver, PatchBackendNameResolvesOverrides) {
   World world(1);
   world.run([](Comm& c) {
-    typename PatchSolver<D3Q19>::Config cfg;
+    Engine::Config cfg;
     cfg.global = {8, 8, 2};
+    cfg.mode = HaloMode::Sequential;
     cfg.patchGrid = {2, 2, 1};
     cfg.backend = "swcpe";
     cfg.patchBackends = {{1, "fused"}};
-    PatchSolver<D3Q19> solver(c, cfg);
+    Engine solver(c, cfg);
     solver.finalizeMask();
     EXPECT_EQ(solver.patchBackendName(0), "swcpe");
     EXPECT_EQ(solver.patchBackendName(1), "fused");
+    // Four blocks on the rank: the one-block accessors refuse, and the
+    // blocks were built from the global mask, so painting it now would
+    // change nothing they read.
+    EXPECT_THROW(solver.ownedBox(), Error);
+    EXPECT_THROW(solver.f(), Error);
+    EXPECT_THROW(solver.paintGlobal({{0, 0, 0}, {1, 1, 1}}, 0), Error);
   });
 }
 
 TEST(PatchSolver, RejectsInPlaceBackend) {
-  // Esoteric streams in place; patch ghost exchange needs the two-lattice
-  // A-B contract.  The refusal must be explicit, not a silent fallback.
-  World world(2);
-  EXPECT_THROW(world.run([](Comm& c) {
-    typename PatchSolver<D3Q19>::Config cfg;
-    cfg.global = {8, 8, 2};
-    cfg.patchGrid = {2, 2, 1};
-    cfg.backend = "esoteric";
-    PatchSolver<D3Q19> solver(c, cfg);
-    solver.finalizeMask();
-  }),
-               Error);
+  // In-place blocks run any layout under Sequential, but two plans stay
+  // refused on every rank, explicitly and naming the capability: esoteric
+  // under Overlap (its even sweep must precede its own reverse exchange)
+  // and a plan mixing in-place and two-lattice blocks (one step schedule
+  // serves one kind).
+  struct Case {
+    HaloMode mode;
+    std::map<int, std::string> plan;
+    const char* says;
+  };
+  for (const Case& tc : {Case{HaloMode::Overlap, {}, "Overlap"},
+                         Case{HaloMode::Sequential, {{1, "fused"}}, "mixes"}}) {
+    SCOPED_TRACE(tc.says);
+    World world(2);
+    world.run([&](Comm& c) {
+      Engine::Config cfg;
+      cfg.global = {8, 8, 2};
+      cfg.patchGrid = {2, 2, 1};
+      cfg.backend = "esoteric";
+      cfg.mode = tc.mode;
+      cfg.patchBackends = tc.plan;
+      try {
+        Engine solver(c, cfg);
+        ADD_FAILURE() << "accepted the plan";
+      } catch (const Error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("inPlaceStreaming"), std::string::npos) << what;
+        EXPECT_NE(what.find(tc.says), std::string::npos) << what;
+      }
+    });
+  }
 }
 
 TEST(PatchSolver, RejectsBackendPlanNamingMissingPatch) {
   World world(1);
   EXPECT_THROW(world.run([](Comm& c) {
-    typename PatchSolver<D3Q19>::Config cfg;
+    Engine::Config cfg;
     cfg.global = {8, 8, 2};
+    cfg.mode = HaloMode::Sequential;
     cfg.patchGrid = {2, 2, 1};
     cfg.patchBackends = {{7, "swcpe"}};  // layout has patches 0..3
-    PatchSolver<D3Q19> solver(c, cfg);
+    Engine solver(c, cfg);
     solver.finalizeMask();
   }),
                Error);

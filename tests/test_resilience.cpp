@@ -41,7 +41,7 @@ DistributedSolver<D2Q9>::Config tgvConfig(int n) {
   cfg.global = {n, n, 1};
   cfg.collision.omega = 1.3;
   cfg.periodic = {true, true, true};
-  cfg.procGrid = {2, 2, 1};
+  cfg.patchGrid = {2, 2, 1};
   return cfg;
 }
 
@@ -180,6 +180,63 @@ TEST(Resilience, DroppedHaloMessageTimesOutAndRecoversBitIdentical) {
   removeAll(prefix);
 }
 
+TEST(Resilience, DroppedHaloMessageOnRebalanceStepRollsBackBitIdentical) {
+  // 2 ranks x 2 blocks with a hair-trigger measured rebalance every 5
+  // steps.  Rank 0's strip with tag 5 (block 0 -> block 2, +y) is lost in
+  // step 5: rank 1 times out inside that step while rank 0 completes it.
+  // The rebalance collectives run only after a step the vote accepted, so
+  // rank 0 cannot be in the weights allreduce while rank 1 votes.  The run
+  // rolls back to the step-4 generation and ends bitwise equal to the
+  // fault-free run, whatever blocks the rebalances move.
+  const int n = 16, total = 20;
+  const std::string prefix = tmpPrefix("swlb_res_rebalance_drop");
+  removeAll(prefix);
+  const PopulationField reference = referenceRun(n, total);
+
+  obs::MetricsRegistry reg;
+  WorldConfig wcfg;
+  wcfg.metrics = &reg;
+  FaultPlan::MessageFault drop;
+  drop.action = FaultPlan::Action::Drop;
+  drop.src = 0;
+  drop.dst = 1;
+  drop.tag = 5;
+  drop.nth = 4;  // one strip per step on this flow: the step-5 strip
+  wcfg.faults.messageFaults.push_back(drop);
+  World world(2, wcfg);
+  PopulationField recovered;
+  std::uint64_t recoveries = 0, restoredStep = 0;
+  world.run([&](Comm& c) {
+    DistributedSolver<D2Q9>::Config cfg = tgvConfig(n);
+    cfg.rebalanceEvery = 5;
+    cfg.rebalanceThreshold = 1.0001;
+    DistributedSolver<D2Q9> solver(c, cfg);
+    initTgv(solver, n);
+    ASSERT_EQ(solver.owners(), (std::vector<int>{0, 0, 1, 1}));
+    ResilientRunnerConfig<D2Q9> rcfg;
+    rcfg.checkpoint.interval = 4;
+    rcfg.checkpoint.keep = 8;
+    rcfg.fault.recvTimeout = 0.25;
+    ResilientRunner<D2Q9> runner(solver, prefix, rcfg);
+    const auto rep = runner.run(total);
+    EXPECT_EQ(solver.stepsDone(), static_cast<std::uint64_t>(total));
+    PopulationField g = solver.gatherPopulations(0);
+    if (c.rank() == 0) {
+      recovered = std::move(g);
+      recoveries = rep.recoveries;
+      restoredStep = rep.lastRestoredStep;
+    }
+  });
+  EXPECT_EQ(world.faultStats().dropped, 1u);
+  EXPECT_EQ(recoveries, 1u);
+  EXPECT_EQ(restoredStep, 4u);
+  // Steps 5, 10, 15 and 20 each ran one check per rank; the failed
+  // attempt at step 5 ran none.
+  EXPECT_EQ(reg.histogramSummary("patch.rebalance").count, 8u);
+  expectBitIdentical(reference, recovered);
+  removeAll(prefix);
+}
+
 TEST(Resilience, NanGuardTripsRollbackAndHeals) {
   const int n = 16, total = 30;
   const std::string prefix = tmpPrefix("swlb_res_nan");
@@ -282,6 +339,35 @@ TEST(Resilience, ControllerRotatesAndRediscoversGenerations) {
     const std::uint64_t restored = again.restoreNewestComplete(solver);
     EXPECT_EQ(restored, 15u);
   });
+  removeAll(prefix);
+}
+
+TEST(Resilience, RotationRemovesEveryBlockOfSeveralPerRank) {
+  // Two ranks with two blocks each: rotation and clear() must delete all
+  // four files of a generation, not just one stripe per rank.
+  const int n = 16;
+  const std::string prefix = tmpPrefix("swlb_res_blocks");
+  removeAll(prefix);
+  World world(2);
+  world.run([&](Comm& c) {
+    DistributedSolver<D2Q9> solver(c, tgvConfig(n));
+    initTgv(solver, n);
+    DistributedCheckpointPolicy policy;
+    policy.interval = 1;
+    policy.keep = 1;
+    DistributedCheckpointController<D2Q9> ckpt(c, prefix, policy);
+    for (int i = 0; i < 20; ++i) {
+      solver.step();
+      ckpt.maybeSave(solver);
+    }
+    ckpt.clear();
+  });
+  std::error_code ec;
+  const std::string base = fs::path(prefix).filename().string();
+  for (const auto& entry : fs::directory_iterator(
+           fs::path(prefix).parent_path(), ec))
+    EXPECT_NE(entry.path().filename().string().rfind(base, 0), 0u)
+        << entry.path();
   removeAll(prefix);
 }
 

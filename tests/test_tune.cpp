@@ -198,7 +198,7 @@ TEST(TuningCache, RetiredSimdBackendReadsAsFused) {
   // every sub-range backend now gets at the solver's host-thread count).
   // A cached plan naming either must still apply: it reads as "fused"
   // under "backend" and under the legacy "kernel_variant" key, and the
-  // retired per-patch tuner's "patch_backends" key is ignored.
+  // retired "patch_backends" and "patches_per_rank" keys are ignored.
   const TuningInput in = cavityInput();
   for (const std::string retired : {"simd", "threads"}) {
     SCOPED_TRACE(retired);
@@ -211,9 +211,11 @@ TEST(TuningCache, RetiredSimdBackendReadsAsFused) {
     const auto pos = json.find(be);
     ASSERT_NE(pos, std::string::npos);
     std::string legacy = json;
-    // Leaves only "kernel_variant": <retired>, plus an old per-patch map.
+    // Leaves only "kernel_variant": <retired>, plus an old per-patch map
+    // and patch count.
     legacy.replace(pos, be.size(),
-                   "\"patch_backends\": {\"2\": \"" + retired + "\"}, ");
+                   "\"patch_backends\": {\"2\": \"" + retired +
+                       "\"}, \"patches_per_rank\": 4, ");
 
     for (const std::string& text : {json, legacy}) {
       const std::string path = tmpPath("swlb_tune_retired_alias.json");
@@ -230,50 +232,6 @@ TEST(TuningCache, RetiredSimdBackendReadsAsFused) {
       EXPECT_EQ(name, "fused");
     }
   }
-}
-
-TEST(TuningCache, PatchesPerRankSurvivesRoundTrip) {
-  const TuningInput in = cavityInput();
-  TuningPlan p = Tuner().plan(in);
-  p.patchesPerRank = 4;
-  TuningCache cache;
-  cache.store(in.key(), p);
-  const std::string path = tmpPath("swlb_tune_patches.json");
-  cache.save(path);
-  const TuningCache loaded = TuningCache::load(path);
-  const auto hit = loaded.lookup(in.key());
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->patchesPerRank, 4);
-  EXPECT_EQ(*hit, p);
-  fs::remove(path);
-}
-
-TEST(TuningCache, PlanWithoutPatchesFieldReadsAsOne) {
-  // A cache written before the patches_per_rank knob existed must still
-  // load, with the field at its pre-knob default (one patch per rank,
-  // i.e. the monolithic block decomposition).
-  const TuningInput in = cavityInput();
-  TuningPlan p = Tuner().plan(in);
-  p.patchesPerRank = 1;
-  TuningCache cache;
-  cache.store(in.key(), p);
-  std::string json = cache.toString();
-  const std::string field = "\"patches_per_rank\": 1, ";
-  const auto pos = json.find(field);
-  ASSERT_NE(pos, std::string::npos);
-  json.erase(pos, field.size());
-
-  const std::string path = tmpPath("swlb_tune_patches_legacy.json");
-  {
-    std::ofstream out(path);
-    out << json;
-  }
-  const TuningCache loaded = TuningCache::load(path);
-  const auto hit = loaded.lookup(in.key());
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->patchesPerRank, 1);
-  EXPECT_EQ(*hit, p);
-  fs::remove(path);
 }
 
 TEST(TuningCache, MissesOnAnyKeyMismatch) {
