@@ -1,5 +1,6 @@
 #include "io/checkpoint.hpp"
 
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -87,6 +88,14 @@ void syncToDisk(const std::string& path) {
 
 std::uint64_t fnv1a(const void* data, std::size_t bytes) {
   return fnv1a_hash(data, bytes);
+}
+
+std::optional<std::uint64_t> parse_step(std::string_view digits) {
+  std::uint64_t step = 0;
+  const char* end = digits.data() + digits.size();
+  const auto [stop, ec] = std::from_chars(digits.data(), end, step);
+  if (digits.empty() || ec != std::errc() || stop != end) return std::nullopt;
+  return step;
 }
 
 namespace detail {

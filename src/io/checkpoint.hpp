@@ -12,7 +12,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/field.hpp"
@@ -174,6 +176,11 @@ void load_checkpoint(const std::string& path, Solver<D, S>& solver) {
   solver.restoreState(raw.meta.steps, raw.meta.parity);
   detail::restore_payload(raw, solver.f());
 }
+
+/// The step number in a checkpoint file name: `digits` as an unsigned
+/// 64-bit value, or nullopt when it is empty, holds a non-digit or
+/// overflows.  The directory scans skip any name it cannot parse.
+std::optional<std::uint64_t> parse_step(std::string_view digits);
 
 /// FNV-1a 64-bit hash used for the payload checksum (delegates to
 /// swlb::fnv1a_hash, shared with the runtime's checksummed messaging).

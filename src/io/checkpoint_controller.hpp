@@ -37,10 +37,11 @@ class CheckpointController {
     return prefix_ + ".step" + std::to_string(step) + ".ckpt";
   }
 
-  /// Rediscover `<prefix>.step*.ckpt` files on disk: files with unreadable
-  /// or mismatched headers are skipped, survivors replace the in-memory
-  /// retained list (oldest beyond the keep policy are deleted, as a save
-  /// would).  Returns how many checkpoints are retained afterwards.
+  /// Rediscover `<prefix>.step*.ckpt` files on disk: names whose step
+  /// does not parse (parse_step) and files with unreadable or mismatched
+  /// headers are skipped, survivors replace the in-memory retained list
+  /// (oldest beyond the keep policy are deleted, as a save would).
+  /// Returns how many checkpoints are retained afterwards.
   std::size_t scanExisting() {
     namespace fs = std::filesystem;
     const fs::path full(prefix_);
@@ -54,18 +55,15 @@ class CheckpointController {
       if (name.size() <= base.size() + 5 || name.rfind(base, 0) != 0 ||
           name.substr(name.size() - 5) != ".ckpt")
         continue;
-      const std::string digits =
-          name.substr(base.size(), name.size() - base.size() - 5);
-      if (digits.empty() ||
-          digits.find_first_not_of("0123456789") != std::string::npos)
-        continue;
-      const std::uint64_t step = std::stoull(digits);
+      const auto step = parse_step(std::string_view(name).substr(
+          base.size(), name.size() - base.size() - 5));
+      if (!step) continue;
       try {
-        if (read_checkpoint_meta(pathFor(step)).steps != step) continue;
+        if (read_checkpoint_meta(pathFor(*step)).steps != *step) continue;
       } catch (const Error&) {
         continue;  // truncated/corrupt header: not restorable
       }
-      found.push_back(step);
+      found.push_back(*step);
     }
     std::sort(found.begin(), found.end());
     saved_ = std::move(found);

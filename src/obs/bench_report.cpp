@@ -1,46 +1,16 @@
 #include "obs/bench_report.hpp"
 
-#include <cmath>
-#include <cstdio>
 #include <deque>
 #include <fstream>
+
+#include "io/json.hpp"
 
 namespace swlb::obs {
 
 namespace {
 
-void writeString(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      os << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      os << buf;
-    } else {
-      os << c;
-    }
-  }
-  os << '"';
-}
-
-/// Shortest round-trip double representation; JSON has no inf/nan, map
-/// them to null so the file always parses.
-void writeNumber(std::ostream& os, double v) {
-  if (!std::isfinite(v)) {
-    os << "null";
-    return;
-  }
-  if (v == static_cast<double>(static_cast<long long>(v)) &&
-      std::abs(v) < 1e15) {
-    os << static_cast<long long>(v);
-    return;
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  os << buf;
-}
+using io::json_number;
+using io::json_quote;
 
 template <typename Map, typename Fn>
 void writeObject(std::ostream& os, const Map& map, Fn&& writeValue) {
@@ -49,8 +19,7 @@ void writeObject(std::ostream& os, const Map& map, Fn&& writeValue) {
   for (const auto& [k, v] : map) {
     if (!first) os << ',';
     first = false;
-    writeString(os, k);
-    os << ':';
+    os << json_quote(k) << ':';
     writeValue(v);
   }
   os << '}';
@@ -64,38 +33,30 @@ BenchReport::Result& BenchReport::add(const std::string& name) {
 }
 
 void BenchReport::write(std::ostream& os) const {
-  os << "{\"schema\":\"" << kBenchSchema << "\",\"bench\":";
-  writeString(os, bench_);
-  os << ",\"results\":[";
+  os << "{\"schema\":\"" << kBenchSchema << "\",\"bench\":"
+     << json_quote(bench_) << ",\"results\":[";
   bool firstResult = true;
   for (const Result& r : results_) {
     if (!firstResult) os << ',';
     firstResult = false;
-    os << "{\"name\":";
-    writeString(os, r.name_);
-    os << ",\"values\":";
-    writeObject(os, r.values_, [&](double v) { writeNumber(os, v); });
+    os << "{\"name\":" << json_quote(r.name_) << ",\"values\":";
+    writeObject(os, r.values_, [&](double v) { os << json_number(v); });
     os << ",\"text\":";
-    writeObject(os, r.text_, [&](const std::string& v) { writeString(os, v); });
+    writeObject(os, r.text_,
+                [&](const std::string& v) { os << json_quote(v); });
     os << ",\"counters\":";
     writeObject(os, r.counters_, [&](std::uint64_t v) { os << v; });
     os << ",\"gauges\":";
-    writeObject(os, r.gauges_, [&](double v) { writeNumber(os, v); });
+    writeObject(os, r.gauges_, [&](double v) { os << json_number(v); });
     os << ",\"phases\":";
     writeObject(os, r.phases_, [&](const Histogram::Summary& s) {
-      os << "{\"count\":" << s.count << ",\"total_s\":";
-      writeNumber(os, s.total);
-      os << ",\"mean_s\":";
-      writeNumber(os, s.mean);
-      os << ",\"min_s\":";
-      writeNumber(os, s.min);
-      os << ",\"max_s\":";
-      writeNumber(os, s.max);
-      os << ",\"p50_s\":";
-      writeNumber(os, s.p50);
-      os << ",\"p95_s\":";
-      writeNumber(os, s.p95);
-      os << '}';
+      os << "{\"count\":" << s.count
+         << ",\"total_s\":" << json_number(s.total)
+         << ",\"mean_s\":" << json_number(s.mean)
+         << ",\"min_s\":" << json_number(s.min)
+         << ",\"max_s\":" << json_number(s.max)
+         << ",\"p50_s\":" << json_number(s.p50)
+         << ",\"p95_s\":" << json_number(s.p95) << '}';
     });
     os << '}';
   }

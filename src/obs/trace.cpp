@@ -3,9 +3,14 @@
 #include <algorithm>
 #include <fstream>
 
+#include "io/json.hpp"
+
 namespace swlb::obs {
 
 namespace {
+
+using io::json_number;
+using io::json_quote;
 
 std::uint64_t nextTracerId() {
   static std::atomic<std::uint64_t> counter{1};
@@ -21,22 +26,6 @@ struct BufferCache {
   void* buffer = nullptr;
 };
 thread_local BufferCache t_cache;
-
-/// Minimal JSON string escaping for event names (static C strings in
-/// practice, but exported files must stay valid JSON for any label).
-void writeEscaped(std::ostream& os, const char* s) {
-  for (; *s; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      os << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      os << "\\u00" << "0123456789abcdef"[(c >> 4) & 0xf]
-         << "0123456789abcdef"[c & 0xf];
-    } else {
-      os << c;
-    }
-  }
-}
 
 }  // namespace
 
@@ -125,20 +114,18 @@ void Tracer::writeChromeTrace(std::ostream& os) const {
     if (!first) os << ",";
     first = false;
     os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":" << r
-       << ",\"args\":{\"name\":\"rank " << r << "\"}}";
+       << ",\"args\":{\"name\":" << json_quote("rank " + std::to_string(r))
+       << "}}";
   }
-  const auto old = os.precision(6);
-  os << std::fixed;
   for (const TraceEvent& e : evs) {
     if (!first) os << ",";
     first = false;
-    os << "{\"name\":\"";
-    writeEscaped(os, e.name);
-    os << "\",\"ph\":\"X\",\"ts\":" << e.beginUs << ",\"dur\":" << e.durUs
-       << ",\"pid\":0,\"tid\":" << e.rank << "}";
+    // Six decimals: nanosecond resolution on the microsecond timeline.
+    os << "{\"name\":" << json_quote(e.name)
+       << ",\"ph\":\"X\",\"ts\":" << json_number(e.beginUs, 6)
+       << ",\"dur\":" << json_number(e.durUs, 6) << ",\"pid\":0,\"tid\":"
+       << e.rank << "}";
   }
-  os.unsetf(std::ios_base::floatfield);
-  os.precision(old);
   os << "],\"displayTimeUnit\":\"ms\"}\n";
 }
 

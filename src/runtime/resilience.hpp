@@ -193,12 +193,11 @@ class DistributedCheckpointController {
       }
       // "<base><digits>.rank<k>.ckpt" without a committed manifest.
       const std::size_t dot = name.find('.', base.size());
-      if (dot == std::string::npos || dot == base.size()) continue;
-      const std::string digits = name.substr(base.size(), dot - base.size());
-      if (digits.find_first_not_of("0123456789") != std::string::npos) continue;
-      if (name.compare(dot, 5, ".rank") != 0) continue;
-      const std::uint64_t step = std::stoull(digits);
-      if (std::find(committed.begin(), committed.end(), step) ==
+      if (dot == std::string::npos) continue;
+      const auto step = io::parse_step(
+          std::string_view(name).substr(base.size(), dot - base.size()));
+      if (!step || name.compare(dot, 5, ".rank") != 0) continue;
+      if (std::find(committed.begin(), committed.end(), *step) ==
           committed.end())
         doomed.push_back(entry.path());
     }
@@ -250,12 +249,9 @@ class DistributedCheckpointController {
           name.rfind(base, 0) != 0 ||
           name.substr(name.size() - suffix.size()) != suffix)
         continue;
-      const std::string digits =
-          name.substr(base.size(), name.size() - base.size() - suffix.size());
-      if (digits.empty() ||
-          digits.find_first_not_of("0123456789") != std::string::npos)
-        continue;
-      found.push_back(std::stoull(digits));
+      const auto step = io::parse_step(std::string_view(name).substr(
+          base.size(), name.size() - base.size() - suffix.size()));
+      if (step) found.push_back(*step);
     }
     std::sort(found.begin(), found.end());
     return found;

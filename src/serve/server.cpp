@@ -231,11 +231,10 @@ void Server::dispatch(Session& s, const std::string& line) {
 void Server::handleSubmit(Session& s, const WireMap& req) {
   JobSpec spec;
   spec.tenant = wire_string(req, "tenant", "default");
-  const double priority = wire_number(req, "priority", 1);
-  if (!std::isfinite(priority))
-    throw Error("submit: 'priority' must be a finite number");
+  // Wire numbers are finite (decode_line), so the clamp is well defined.
   spec.priority = static_cast<int>(
-      std::clamp(priority, 1.0, static_cast<double>(JobSpec::kMaxPriority)));
+      std::clamp(wire_number(req, "priority", 1), 1.0,
+                 static_cast<double>(JobSpec::kMaxPriority)));
   spec.steps = wire_integer(req, "steps", 1, "submit");
   for (const auto& [k, v] : req)
     if (k.rfind("cfg.", 0) == 0) spec.config.set(k.substr(4), v.asText());
@@ -352,7 +351,6 @@ void Server::workerLoop(int index) {
     const bool needFirst = !j.firstStepDone;
     const auto tSubmit = j.tSubmit;
     const std::uint64_t preSteps = j.stepsDone;
-    const double mass0 = j.mass0;
     lk.unlock();
 
     bool fault = false;
@@ -373,15 +371,9 @@ void Server::workerLoop(int index) {
           --left;
         }
         s->run(left);
-        const double mass = static_cast<double>(s->totalMass());
-        if (!std::isfinite(mass)) {
+        if (!s->populationsFinite()) {
           fault = true;
-          reason = "population guard: non-finite mass";
-        } else if (cfg_.massTolerance > 0 &&
-                   std::abs(mass - mass0) >
-                       cfg_.massTolerance * std::max(std::abs(mass0), 1.0)) {
-          fault = true;
-          reason = "population guard: mass drift";
+          reason = "population guard: non-finite population";
         }
       } catch (const std::exception& e) {
         fault = true;
@@ -456,8 +448,6 @@ bool Server::makeResident(Job& j, std::unique_lock<std::mutex>& lk) {
       emit(j.sessionId, ev);
     }
     ++residentCount_;
-    if (cfg_.massTolerance > 0)
-      j.mass0 = static_cast<double>(j.solver->totalMass());
     updateGauges();
     return true;
   } catch (const std::exception& e) {

@@ -13,8 +13,8 @@
 //     scheduling turn rebuilds the case and restores the checkpoint —
 //     a bit-identical continuation (proven by test_serve);
 //   * per-job crash isolation, following ResilientRunner's rollback
-//     ladder at single-job scope: a quantum that throws or trips the
-//     NaN/mass guard rolls just that job back to its newest on-disk
+//     ladder at single-job scope: a quantum that throws or leaves a
+//     non-finite population rolls just that job back to its newest on-disk
 //     state (or a fresh rebuild), bounded by `maxRecoveries`, and never
 //     takes down the daemon or other jobs;
 //   * progress streaming: every lifecycle transition is pushed to the
@@ -99,9 +99,6 @@ struct ServerConfig {
   /// Write a rollback checkpoint every K quanta (0: only evictions leave
   /// on-disk state, so an un-evicted faulting job restarts from step 0).
   std::uint64_t checkpointQuanta = 0;
-  /// > 0 arms the per-residency mass-drift guard (closed cases only);
-  /// the NaN/finite guard is always on.
-  double massTolerance = 0;
   /// Start with workers parked until resume() — deterministic admission
   /// tests submit a burst before any job runs.
   bool startPaused = false;
@@ -157,7 +154,6 @@ class Server {
     std::uint64_t stepsDone = 0;
     std::uint64_t quantaDone = 0;
     int recoveries = 0;
-    double mass0 = 0;             ///< guard baseline for this residency
     std::uint64_t sessionId = 0;  ///< owner for event delivery
     std::chrono::steady_clock::time_point tSubmit;
     bool firstStepDone = false;

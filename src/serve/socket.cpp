@@ -32,13 +32,21 @@ sockaddr_un make_addr(const std::string& path) {
 LineStream::~LineStream() { close(); }
 
 std::optional<std::string> LineStream::readLine() {
+  std::size_t scanned = 0;  // leading bytes of buf_ known to hold no '\n'
   for (;;) {
-    const auto nl = buf_.find('\n');
+    const auto nl = buf_.find('\n', scanned);
+    if ((nl == std::string::npos ? buf_.size() : nl) > kMaxLineBytes) {
+      // No protocol line is this long: stop reading this peer for good.
+      buf_ = std::string();
+      if (fd_ >= 0) ::shutdown(fd_, SHUT_RD);
+      return std::nullopt;
+    }
     if (nl != std::string::npos) {
       std::string line = buf_.substr(0, nl);
       buf_.erase(0, nl + 1);
       return line;
     }
+    scanned = buf_.size();
     if (fd_ < 0) return std::nullopt;
     char chunk[4096];
     const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
@@ -57,7 +65,10 @@ bool LineStream::writeLine(const std::string& line) {
   out.push_back('\n');
   std::size_t off = 0;
   while (off < out.size()) {
-    const ssize_t n = ::write(fd_, out.data() + off, out.size() - off);
+    // MSG_NOSIGNAL: a vanished peer is an EPIPE for this stream, not a
+    // SIGPIPE that ends the whole daemon.
+    const ssize_t n =
+        ::send(fd_, out.data() + off, out.size() - off, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       return false;

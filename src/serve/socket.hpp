@@ -7,12 +7,18 @@
 // tests and bench drive Sessions directly and skip the socket.
 #pragma once
 
+#include <cstddef>
 #include <optional>
 #include <string>
 
 namespace swlb::serve {
 
 class Server;
+
+/// Longest line a LineStream reads.  Protocol lines stay under 1 KiB; a
+/// peer that sends more without a newline loses its connection instead
+/// of growing the daemon's memory.
+inline constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
 
 /// Buffered line reader/writer over a connected stream socket fd.
 /// Owns the fd; closes it on destruction.
@@ -25,10 +31,12 @@ class LineStream {
   LineStream& operator=(const LineStream&) = delete;
 
   /// Next '\n'-terminated line (terminator stripped); std::nullopt at
-  /// EOF or on a read error.
+  /// EOF, on a read error, or once a line passes kMaxLineBytes (which
+  /// shuts the read side down: every later call returns nullopt too).
   std::optional<std::string> readLine();
 
-  /// Write one line + '\n'; false once the peer is gone.
+  /// Write one line + '\n'; false once the peer is gone (never a
+  /// SIGPIPE).
   bool writeLine(const std::string& line);
 
   /// Shut the socket down (wakes a blocked readLine); idempotent.

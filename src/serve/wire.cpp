@@ -1,191 +1,15 @@
 #include "serve/wire.hpp"
 
-#include <cctype>
-#include <cinttypes>
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <optional>
 
+#include "io/json.hpp"
+
 namespace swlb::serve {
-
-namespace {
-
-/// Deterministic number text: integers in [-2^53, 2^53] print without a
-/// fraction, everything else as shortest-round-trip %.17g.
-std::string format_number(double v) {
-  char buf[40];
-  if (std::isfinite(v) && v == std::floor(v) && std::abs(v) <= 9.0e15) {
-    std::snprintf(buf, sizeof(buf), "%" PRId64, static_cast<std::int64_t>(v));
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-  }
-  return buf;
-}
-
-void append_escaped(std::string& out, const std::string& s) {
-  out.push_back('"');
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(ch)));
-          out += buf;
-        } else {
-          out.push_back(ch);
-        }
-    }
-  }
-  out.push_back('"');
-}
-
-class Parser {
- public:
-  explicit Parser(std::string_view text) : s_(text) {}
-
-  WireMap parseObject() {
-    WireMap out;
-    skipWs();
-    expect('{');
-    skipWs();
-    if (peek() == '}') {
-      ++i_;
-      finish();
-      return out;
-    }
-    for (;;) {
-      skipWs();
-      std::string key = parseString();
-      skipWs();
-      expect(':');
-      skipWs();
-      out[std::move(key)] = parseValue();
-      skipWs();
-      const char c = next();
-      if (c == '}') break;
-      if (c != ',') fail("expected ',' or '}'");
-    }
-    finish();
-    return out;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& why) const {
-    throw Error("serve wire: " + why + " at offset " + std::to_string(i_) +
-                " in '" + std::string(s_.substr(0, 120)) + "'");
-  }
-  char peek() const { return i_ < s_.size() ? s_[i_] : '\0'; }
-  char next() {
-    if (i_ >= s_.size()) fail("unexpected end of line");
-    return s_[i_++];
-  }
-  void expect(char c) {
-    if (next() != c) fail(std::string("expected '") + c + "'");
-  }
-  void skipWs() {
-    while (i_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[i_])))
-      ++i_;
-  }
-  void finish() {
-    skipWs();
-    if (i_ != s_.size()) fail("trailing garbage after object");
-  }
-
-  void appendUtf8(std::string& out, unsigned cp) {
-    if (cp < 0x80) {
-      out.push_back(static_cast<char>(cp));
-    } else if (cp < 0x800) {
-      out.push_back(static_cast<char>(0xC0 | (cp >> 6)));
-      out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-    } else {
-      out.push_back(static_cast<char>(0xE0 | (cp >> 12)));
-      out.push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-      out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-    }
-  }
-
-  std::string parseString() {
-    expect('"');
-    std::string out;
-    for (;;) {
-      const char c = next();
-      if (c == '"') return out;
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      const char e = next();
-      switch (e) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'n': out.push_back('\n'); break;
-        case 't': out.push_back('\t'); break;
-        case 'r': out.push_back('\r'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'u': {
-          unsigned cp = 0;
-          for (int k = 0; k < 4; ++k) {
-            const char h = next();
-            cp <<= 4;
-            if (h >= '0' && h <= '9') cp |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') cp |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') cp |= static_cast<unsigned>(h - 'A' + 10);
-            else fail("bad \\u escape");
-          }
-          appendUtf8(out, cp);
-          break;
-        }
-        default: fail("unknown escape");
-      }
-    }
-  }
-
-  WireValue parseValue() {
-    const char c = peek();
-    if (c == '"') return WireValue::ofString(parseString());
-    if (c == '{' || c == '[')
-      fail("nested objects/arrays are not part of the flat grammar");
-    if (c == 't' || c == 'f') {
-      const std::string_view want = c == 't' ? "true" : "false";
-      for (const char w : want)
-        if (next() != w) fail("bad literal");
-      return WireValue::ofBool(c == 't');
-    }
-    if (c == 'n') {
-      for (const char w : std::string_view("null"))
-        if (next() != w) fail("bad literal");
-      return WireValue::ofString("");  // null decays to the empty string
-    }
-    // Number: hand strtod the remaining text, then verify it consumed a
-    // plausible token (strtod accepts leading whitespace we already ate).
-    const std::string rest(s_.substr(i_));
-    char* end = nullptr;
-    const double v = std::strtod(rest.c_str(), &end);
-    if (end == rest.c_str()) fail("expected a value");
-    i_ += static_cast<std::size_t>(end - rest.c_str());
-    return WireValue::ofNumber(v);
-  }
-
-  std::string_view s_;
-  std::size_t i_ = 0;
-};
-
-}  // namespace
 
 std::string WireValue::asText() const {
   switch (kind) {
     case Kind::String: return str;
-    case Kind::Number: return format_number(num);
+    case Kind::Number: return io::json_number(num);
     case Kind::Bool: return boolean ? "true" : "false";
   }
   return {};
@@ -197,11 +21,11 @@ std::string encode_line(const WireMap& m) {
   for (const auto& [k, v] : m) {
     if (!first) out.push_back(',');
     first = false;
-    append_escaped(out, k);
+    out += io::json_quote(k);
     out.push_back(':');
     switch (v.kind) {
-      case WireValue::Kind::String: append_escaped(out, v.str); break;
-      case WireValue::Kind::Number: out += format_number(v.num); break;
+      case WireValue::Kind::String: out += io::json_quote(v.str); break;
+      case WireValue::Kind::Number: out += io::json_number(v.num); break;
       case WireValue::Kind::Bool: out += v.boolean ? "true" : "false"; break;
     }
   }
@@ -209,7 +33,25 @@ std::string encode_line(const WireMap& m) {
   return out;
 }
 
-WireMap decode_line(std::string_view line) { return Parser(line).parseObject(); }
+WireMap decode_line(std::string_view line) {
+  using Type = io::JsonValue::Type;
+  const io::JsonValue root = io::parse_json(line, "serve wire");
+  if (root.type != Type::Object)
+    throw Error("serve wire: a line must be one JSON object");
+  WireMap out;
+  for (const auto& [k, v] : root.object) {
+    switch (v.type) {
+      case Type::String: out[k] = WireValue::ofString(v.str); break;
+      case Type::Number: out[k] = WireValue::ofNumber(v.number); break;
+      case Type::Bool: out[k] = WireValue::ofBool(v.boolean); break;
+      case Type::Null: out[k] = WireValue::ofString(""); break;
+      default:
+        throw Error("serve wire: '" + k +
+                    "' is nested; the grammar is flat (no objects or arrays)");
+    }
+  }
+  return out;
+}
 
 const WireValue* wire_find(const WireMap& m, const std::string& key) {
   const auto it = m.find(key);

@@ -1,10 +1,11 @@
 // Wire format of the `swlb::serve` protocol (DESIGN.md §12): one JSON
 // object per newline-terminated line, *flat* — string keys mapping to
-// string / number / boolean values only.  Nested objects and arrays are
-// rejected on decode so both ends stay trivially auditable; structured
-// payloads (a job's case description) travel as dotted key prefixes
-// ("cfg.case", "cfg.nx", ...).  Encoding sorts keys (std::map) so equal
-// maps serialize to byte-equal lines.
+// string / number / boolean values only.  Lines are read by the shared
+// strict parser (io/json.hpp); nested objects and arrays are rejected on
+// decode so both ends stay trivially auditable, and structured payloads
+// (a job's case description) travel as dotted key prefixes ("cfg.case",
+// "cfg.nx", ...).  Encoding sorts keys (std::map) so equal maps serialize
+// to byte-equal lines.
 #pragma once
 
 #include <map>
@@ -51,12 +52,13 @@ struct WireValue {
 using WireMap = std::map<std::string, WireValue>;
 
 /// Serialize to a single JSON line (no trailing newline).  Byte-stable:
-/// sorted keys, deterministic number formatting.
+/// sorted keys, deterministic number formatting; a non-finite number
+/// encodes as `null`.
 std::string encode_line(const WireMap& m);
 
-/// Parse one line back into a map.  Throws Error on anything outside the
-/// flat grammar: nested objects/arrays, unterminated strings, unknown
-/// escapes, trailing garbage.
+/// Parse one line back into a map; `null` decodes to the empty string.
+/// Throws Error on anything that is not strict JSON (io::parse_json) or
+/// not one flat object.
 WireMap decode_line(std::string_view line);
 
 // ---- typed accessors (throwing forms name the missing/mistyped key) ----

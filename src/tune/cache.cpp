@@ -1,232 +1,23 @@
 #include "tune/cache.hpp"
 
-#include <cctype>
-#include <cstdio>
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
-#include <vector>
+
+#include "io/json.hpp"
 
 namespace swlb::tune {
 
 namespace {
 
-// ---- writing -----------------------------------------------------------
-
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-/// Shortest round-trip formatting: %.17g reproduces every double exactly
-/// and identically across runs (byte-deterministic plans).
-std::string numStr(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-// ---- minimal JSON parser ----------------------------------------------
-// Accepts the subset this module writes: objects, arrays, strings with
-// the escapes above, numbers, true/false/null.  Grammar errors throw.
-
-struct JsonValue {
-  enum class Type { Null, Bool, Number, String, Object, Array };
-  Type type = Type::Null;
-  bool boolean = false;
-  double number = 0;
-  std::string str;
-  std::map<std::string, JsonValue> object;
-  std::vector<JsonValue> array;
-};
-
-class Parser {
- public:
-  explicit Parser(const std::string& text) : s_(text) {}
-
-  JsonValue parse() {
-    JsonValue v = value();
-    ws();
-    if (pos_ != s_.size()) fail("trailing characters");
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& why) const {
-    throw Error("tuning cache: malformed JSON at byte " +
-                std::to_string(pos_) + ": " + why);
-  }
-
-  void ws() {
-    while (pos_ < s_.size() && std::isspace(static_cast<unsigned char>(s_[pos_])))
-      ++pos_;
-  }
-
-  char peek() {
-    if (pos_ >= s_.size()) fail("unexpected end of input");
-    return s_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  JsonValue value() {
-    ws();
-    const char c = peek();
-    if (c == '{') return object();
-    if (c == '[') return array();
-    if (c == '"') {
-      JsonValue v;
-      v.type = JsonValue::Type::String;
-      v.str = string();
-      return v;
-    }
-    if (c == 't' || c == 'f') return boolean();
-    if (c == 'n') {
-      literal("null");
-      return JsonValue{};
-    }
-    return number();
-  }
-
-  void literal(const char* word) {
-    for (const char* p = word; *p; ++p) expect(*p);
-  }
-
-  JsonValue boolean() {
-    JsonValue v;
-    v.type = JsonValue::Type::Bool;
-    if (peek() == 't') {
-      literal("true");
-      v.boolean = true;
-    } else {
-      literal("false");
-    }
-    return v;
-  }
-
-  JsonValue number() {
-    const std::size_t start = pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
-            s_[pos_] == '-' || s_[pos_] == '+' || s_[pos_] == '.' ||
-            s_[pos_] == 'e' || s_[pos_] == 'E'))
-      ++pos_;
-    if (pos_ == start) fail("expected a value");
-    JsonValue v;
-    v.type = JsonValue::Type::Number;
-    try {
-      v.number = std::stod(s_.substr(start, pos_ - start));
-    } catch (const std::exception&) {
-      fail("bad number");
-    }
-    return v;
-  }
-
-  std::string string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= s_.size()) fail("unterminated string");
-      char c = s_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= s_.size()) fail("unterminated escape");
-      c = s_[pos_++];
-      switch (c) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'n': out += '\n'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          if (pos_ + 4 > s_.size()) fail("truncated \\u escape");
-          const std::string hex = s_.substr(pos_, 4);
-          pos_ += 4;
-          out += static_cast<char>(std::stoi(hex, nullptr, 16));
-          break;
-        }
-        default: fail("unknown escape");
-      }
-    }
-  }
-
-  JsonValue object() {
-    expect('{');
-    JsonValue v;
-    v.type = JsonValue::Type::Object;
-    ws();
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      ws();
-      std::string key = string();
-      ws();
-      expect(':');
-      v.object[key] = value();
-      ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return v;
-    }
-  }
-
-  JsonValue array() {
-    expect('[');
-    JsonValue v;
-    v.type = JsonValue::Type::Array;
-    ws();
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      v.array.push_back(value());
-      ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return v;
-    }
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
+using io::JsonValue;
 
 const JsonValue& field(const JsonValue& obj, const char* name) {
-  const auto it = obj.object.find(name);
-  if (it == obj.object.end())
+  const JsonValue* v = obj.find(name);
+  if (!v)
     throw Error(std::string("tuning cache: missing field \"") + name + "\"");
-  return it->second;
+  return *v;
 }
 
 std::string stringField(const JsonValue& obj, const char* name) {
@@ -237,12 +28,27 @@ std::string stringField(const JsonValue& obj, const char* name) {
   return v.str;
 }
 
-double numberField(const JsonValue& obj, const char* name) {
-  const JsonValue& v = field(obj, name);
+/// `v` as a double; `null`, the writer's spelling of a non-finite value,
+/// reads as NaN.
+double asNumber(const JsonValue& v, const std::string& what) {
+  if (v.type == JsonValue::Type::Null)
+    return std::numeric_limits<double>::quiet_NaN();
   if (v.type != JsonValue::Type::Number)
-    throw Error(std::string("tuning cache: field \"") + name +
-                "\" is not a number");
+    throw Error("tuning cache: " + what + " is not a number");
   return v.number;
+}
+
+double numberField(const JsonValue& obj, const char* name) {
+  return asNumber(field(obj, name), std::string("field \"") + name + "\"");
+}
+
+/// An integer field in [0, max], range-checked before it is converted.
+double countField(const JsonValue& obj, const char* name, double max) {
+  const double v = numberField(obj, name);
+  if (!(v >= 0 && v <= max) || v != std::floor(v))
+    throw Error(std::string("tuning cache: field \"") + name +
+                "\" is not an integer in [0, " + io::json_number(max) + "]");
+  return v;
 }
 
 /// Backend spelling a cached plan may carry, mapped to the registered
@@ -264,25 +70,21 @@ TuningPlan planFromJson(const JsonValue& obj) {
   } else {
     throw Error("tuning cache: unknown halo_mode \"" + mode + "\"");
   }
-  p.ringThresholdBytes =
-      static_cast<std::size_t>(numberField(obj, "ring_threshold_bytes"));
-  p.chunkX = static_cast<int>(numberField(obj, "chunk_x"));
+  p.ringThresholdBytes = static_cast<std::size_t>(
+      countField(obj, "ring_threshold_bytes", 9007199254740992.0));  // 2^53
+  p.chunkX = static_cast<int>(
+      countField(obj, "chunk_x", std::numeric_limits<int>::max()));
   // Tolerant read: "backend" is the current spelling; plans written when
   // the knob was called the kernel variant carry "kernel_variant" with
   // the same value set; older plans have neither and mean "fused".
   // Either key may name a backend that has since been folded into
   // another (currentBackendName).  The "patch_backends" and
   // "patches_per_rank" keys of older plans are ignored.
-  const auto be = obj.object.find("backend");
-  const auto kv = obj.object.find("kernel_variant");
-  if (be != obj.object.end()) {
-    if (be->second.type != JsonValue::Type::String)
-      throw Error("tuning cache: \"backend\" is not a string");
-    p.backend = currentBackendName(be->second.str);
-  } else if (kv != obj.object.end()) {
-    if (kv->second.type != JsonValue::Type::String)
-      throw Error("tuning cache: \"kernel_variant\" is not a string");
-    p.backend = currentBackendName(kv->second.str);
+  for (const char* name : {"backend", "kernel_variant"}) {
+    if (obj.find(name)) {
+      p.backend = currentBackendName(stringField(obj, name));
+      break;
+    }
   }
   p.precision = stringField(obj, "precision");
   p.precisionAdvice = stringField(obj, "precision_advice");
@@ -291,11 +93,8 @@ TuningPlan planFromJson(const JsonValue& obj) {
   const JsonValue& ev = field(obj, "evidence");
   if (ev.type != JsonValue::Type::Object)
     throw Error("tuning cache: \"evidence\" is not an object");
-  for (const auto& [k, v] : ev.object) {
-    if (v.type != JsonValue::Type::Number)
-      throw Error("tuning cache: evidence \"" + k + "\" is not a number");
-    p.evidence[k] = v.number;
-  }
+  for (const auto& [k, v] : ev.object)
+    p.evidence[k] = asNumber(v, "evidence \"" + k + "\"");
   return p;
 }
 
@@ -306,7 +105,7 @@ const char* halo_mode_name(runtime::HaloMode m) {
 }
 
 std::string to_json(const TuningKey& key) {
-  return '"' + escape(key.toString()) + '"';
+  return io::json_quote(key.toString());
 }
 
 std::string TuningKey::toString() const {
@@ -321,22 +120,24 @@ std::string to_json(const TuningPlan& plan) {
   // "kernel_variant" repeats the backend value: binaries from before the
   // backend layer tolerant-read that key, so a new cache file still
   // applies there (and new readers prefer "backend").
+  using io::json_number;
+  using io::json_quote;
   std::ostringstream os;
-  os << "{\"advised_quant_error\": " << numStr(plan.advisedQuantError)
-     << ", \"backend\": \"" << escape(plan.backend)
-     << "\", \"chunk_x\": " << plan.chunkX << ", \"evidence\": {";
+  os << "{\"advised_quant_error\": " << json_number(plan.advisedQuantError)
+     << ", \"backend\": " << json_quote(plan.backend)
+     << ", \"chunk_x\": " << plan.chunkX << ", \"evidence\": {";
   bool first = true;
   for (const auto& [k, v] : plan.evidence) {
     if (!first) os << ", ";
     first = false;
-    os << '"' << escape(k) << "\": " << numStr(v);
+    os << json_quote(k) << ": " << json_number(v);
   }
   os << "}, \"halo_mode\": \"" << halo_mode_name(plan.haloMode)
-     << "\", \"kernel_variant\": \"" << escape(plan.backend)
-     << "\", \"precision\": \"" << escape(plan.precision)
-     << "\", \"precision_advice\": \"" << escape(plan.precisionAdvice)
-     << "\", \"ring_threshold_bytes\": " << plan.ringThresholdBytes
-     << ", \"source\": \"" << escape(plan.source) << "\"}";
+     << "\", \"kernel_variant\": " << json_quote(plan.backend)
+     << ", \"precision\": " << json_quote(plan.precision)
+     << ", \"precision_advice\": " << json_quote(plan.precisionAdvice)
+     << ", \"ring_threshold_bytes\": " << plan.ringThresholdBytes
+     << ", \"source\": " << json_quote(plan.source) << "}";
   return os.str();
 }
 
@@ -347,8 +148,8 @@ std::string TuningCache::toString() const {
   for (const auto& [key, plan] : plans_) {
     if (!first) os << ",";
     first = false;
-    os << "\n    {\"key\": \"" << escape(key)
-       << "\",\n     \"plan\": " << to_json(plan) << "}";
+    os << "\n    {\"key\": " << io::json_quote(key)
+       << ",\n     \"plan\": " << to_json(plan) << "}";
   }
   os << (plans_.empty() ? "]" : "\n  ]") << "\n}\n";
   return os.str();
@@ -368,13 +169,12 @@ TuningCache TuningCache::load(const std::string& path) {
   buf << in.rdbuf();
   const std::string text = buf.str();
 
-  const JsonValue root = Parser(text).parse();
+  const JsonValue root = io::parse_json(text, "tuning cache '" + path + "'");
   if (root.type != JsonValue::Type::Object)
     throw Error("tuning cache: root is not an object in " + path);
-  const auto schema = root.object.find("schema");
-  if (schema == root.object.end() ||
-      schema->second.type != JsonValue::Type::String ||
-      schema->second.str != kTuneSchema)
+  const JsonValue* schema = root.find("schema");
+  if (!schema || schema->type != JsonValue::Type::String ||
+      schema->str != kTuneSchema)
     return TuningCache{};  // stale/unknown format: discard, re-tune
 
   TuningCache cache;

@@ -17,7 +17,10 @@
 // Invalidation is structural: a missing file or a file with a different
 // schema tag loads as an *empty* cache (the stale format is discarded and
 // re-tuned, never half-parsed), and a lookup whose key differs in any
-// field misses.  Writes are byte-deterministic for identical contents.
+// field misses.  Files are read by the shared strict parser and written
+// through the shared escaper and number formatter (io/json.hpp), so
+// writes are byte-deterministic for identical contents and a non-finite
+// double round-trips as `null` -> NaN.
 #pragma once
 
 #include <map>

@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cctype>
 #include <map>
 #include <numeric>
 #include <random>
@@ -18,6 +17,7 @@
 #include <vector>
 
 #include "core/solver.hpp"
+#include "io/json.hpp"
 #include "obs/bench_report.hpp"
 #include "obs/context.hpp"
 #include "obs/metrics.hpp"
@@ -35,77 +35,6 @@ using runtime::DistributedSolver;
 using runtime::HaloMode;
 using runtime::World;
 using runtime::WorldConfig;
-
-// ---- minimal Chrome-trace JSON reader ----------------------------------
-// The writer emits flat one-line objects inside "traceEvents"; this reader
-// understands exactly that subset (strings, numbers, flat objects) — enough
-// to verify the golden structure without a JSON library.
-
-struct JsonEvent {
-  std::map<std::string, std::string> strings;
-  std::map<std::string, double> numbers;
-};
-
-struct JsonTrace {
-  std::vector<JsonEvent> events;
-  bool hasDisplayTimeUnit = false;
-};
-
-JsonTrace parseChromeTrace(const std::string& json) {
-  JsonTrace out;
-  out.hasDisplayTimeUnit =
-      json.find("\"displayTimeUnit\"") != std::string::npos;
-  const std::size_t arr = json.find("\"traceEvents\"");
-  EXPECT_NE(arr, std::string::npos);
-  std::size_t i = json.find('[', arr);
-  EXPECT_NE(i, std::string::npos);
-  ++i;
-  while (i < json.size()) {
-    while (i < json.size() && json[i] != '{' && json[i] != ']') ++i;
-    if (i >= json.size() || json[i] == ']') break;
-    JsonEvent ev;
-    ++i;  // past '{'
-    while (i < json.size() && json[i] != '}') {
-      while (i < json.size() &&
-             (std::isspace(static_cast<unsigned char>(json[i])) ||
-              json[i] == ','))
-        ++i;
-      if (json[i] == '}') break;
-      EXPECT_EQ(json[i], '"') << "key must be a string at offset " << i;
-      std::size_t k0 = ++i;
-      while (i < json.size() && json[i] != '"') ++i;
-      const std::string key = json.substr(k0, i - k0);
-      ++i;  // closing quote
-      EXPECT_EQ(json[i], ':');
-      ++i;
-      if (json[i] == '"') {
-        std::string val;
-        ++i;
-        while (i < json.size() && json[i] != '"') {
-          if (json[i] == '\\' && i + 1 < json.size()) ++i;
-          val += json[i++];
-        }
-        ++i;
-        ev.strings[key] = val;
-      } else if (json[i] == '{') {
-        // Nested object (metadata "args"): skip it, balanced.
-        int depth = 0;
-        do {
-          if (json[i] == '{') ++depth;
-          if (json[i] == '}') --depth;
-          ++i;
-        } while (i < json.size() && depth > 0);
-      } else {
-        std::size_t v0 = i;
-        while (i < json.size() && json[i] != ',' && json[i] != '}') ++i;
-        ev.numbers[key] = std::stod(json.substr(v0, i - v0));
-      }
-    }
-    ++i;  // past '}'
-    out.events.push_back(std::move(ev));
-  }
-  return out;
-}
 
 // ---- Tracer ------------------------------------------------------------
 
@@ -403,26 +332,34 @@ TEST(ChromeTrace, GoldenStructureFourRankOverlapRun) {
 
   std::ostringstream os;
   tracer.writeChromeTrace(os);
-  const JsonTrace trace = parseChromeTrace(os.str());
-  EXPECT_TRUE(trace.hasDisplayTimeUnit);
+  const io::JsonValue trace = io::parse_json(os.str(), "chrome trace");
+  EXPECT_NE(trace.find("displayTimeUnit"), nullptr);
+  const io::JsonValue* events = trace.find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  const auto text = [](const io::JsonValue& e, const char* key) {
+    const io::JsonValue* v = e.find(key);
+    EXPECT_TRUE(v && v->type == io::JsonValue::Type::String) << key;
+    return v ? v->str : std::string();
+  };
+  const auto number = [](const io::JsonValue& e, const char* key) {
+    const io::JsonValue* v = e.find(key);
+    EXPECT_TRUE(v && v->type == io::JsonValue::Type::Number) << key;
+    return v ? v->number : -1.0;
+  };
 
   // One thread_name metadata row per rank.
   int metaRows = 0;
   std::map<int, std::map<std::string, int>> perRankPhase;
-  for (const JsonEvent& e : trace.events) {
-    ASSERT_TRUE(e.strings.count("ph"));
-    if (e.strings.at("ph") == "M") {
+  for (const io::JsonValue& e : events->array) {
+    if (text(e, "ph") == "M") {
       ++metaRows;
-      EXPECT_EQ(e.strings.at("name"), "thread_name");
+      EXPECT_EQ(text(e, "name"), "thread_name");
       continue;
     }
-    EXPECT_EQ(e.strings.at("ph"), "X");
-    ASSERT_TRUE(e.numbers.count("ts"));
-    ASSERT_TRUE(e.numbers.count("dur"));
-    ASSERT_TRUE(e.numbers.count("tid"));
-    EXPECT_GE(e.numbers.at("dur"), 0.0);
-    perRankPhase[static_cast<int>(e.numbers.at("tid"))]
-                [e.strings.at("name")]++;
+    EXPECT_EQ(text(e, "ph"), "X");
+    EXPECT_GE(number(e, "ts"), 0.0);
+    EXPECT_GE(number(e, "dur"), 0.0);
+    perRankPhase[static_cast<int>(number(e, "tid"))][text(e, "name")]++;
   }
   EXPECT_EQ(metaRows, kRanks);
   ASSERT_EQ(perRankPhase.size(), static_cast<std::size_t>(kRanks));

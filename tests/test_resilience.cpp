@@ -342,6 +342,40 @@ TEST(Resilience, ControllerRotatesAndRediscoversGenerations) {
   removeAll(prefix);
 }
 
+TEST(Resilience, ScansSkipStepNumbersPastSixtyFourBits) {
+  // Stray names whose step overflows 64 bits are neither generations
+  // (scanGenerations) nor debris (garbageCollect): both scans skip them.
+  const int n = 16;
+  const std::string prefix = tmpPrefix("swlb_res_long_step");
+  removeAll(prefix);
+  const std::string huge = ".g99999999999999999999999";
+  World world(2);
+  world.run([&](Comm& c) {
+    DistributedSolver<D2Q9> solver(c, tgvConfig(n));
+    initTgv(solver, n);
+    DistributedCheckpointPolicy policy;
+    policy.interval = 5;
+    policy.keep = 2;
+    {
+      DistributedCheckpointController<D2Q9> ckpt(c, prefix, policy);
+      solver.run(5);
+      ASSERT_TRUE(ckpt.maybeSave(solver));
+    }
+    c.barrier();
+    if (c.rank() == 0) {
+      std::ofstream(prefix + huge + ".manifest") << "stray";
+      std::ofstream(prefix + huge + ".rank0.ckpt") << "stray";
+    }
+    c.barrier();
+    DistributedCheckpointController<D2Q9> again(c, prefix, policy);
+    ASSERT_EQ(again.generations().size(), 1u);
+    EXPECT_EQ(again.generations().front(), 5u);
+    EXPECT_EQ(again.restoreNewestComplete(solver), 5u);
+  });
+  EXPECT_TRUE(fs::exists(prefix + huge + ".rank0.ckpt"));
+  removeAll(prefix);
+}
+
 TEST(Resilience, RotationRemovesEveryBlockOfSeveralPerRank) {
   // Two ranks with two blocks each: rotation and clear() must delete all
   // four files of a generation, not just one stripe per rank.

@@ -5,11 +5,14 @@
 // admission verdicts, bit-identical evict -> resume continuation, per-job
 // fault isolation, and zero checkpoint debris after shutdown.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <future>
 #include <limits>
 #include <set>
 #include <string>
@@ -22,6 +25,7 @@
 #include "serve/queue.hpp"
 #include "serve/scheduler.hpp"
 #include "serve/server.hpp"
+#include "serve/socket.hpp"
 #include "serve/wire.hpp"
 
 using namespace swlb;
@@ -147,6 +151,71 @@ TEST(Wire, MissingKeyThrowsFallbackDoesNot) {
   EXPECT_THROW(wire_string(m, "b"), Error);
   EXPECT_EQ(wire_string(m, "b", "dflt"), "dflt");
   EXPECT_DOUBLE_EQ(wire_number(m, "b", 7), 7);
+}
+
+TEST(Wire, NonFiniteNumbersEncodeAsNullAndDecode) {
+  WireMap m;
+  m["nan"] = WireValue::ofNumber(std::numeric_limits<double>::quiet_NaN());
+  m["pinf"] = WireValue::ofNumber(std::numeric_limits<double>::infinity());
+  m["ninf"] = WireValue::ofNumber(-std::numeric_limits<double>::infinity());
+  const std::string line = encode_line(m);
+  EXPECT_EQ(line, "{\"nan\":null,\"ninf\":null,\"pinf\":null}");
+  WireMap back;
+  ASSERT_NO_THROW(back = decode_line(line));
+  for (const char* key : {"nan", "pinf", "ninf"})
+    EXPECT_EQ(wire_string(back, key), "") << key;  // null decodes to ""
+}
+
+TEST(Wire, RejectsNumbersOutsideTheJsonGrammar) {
+  for (const char* num : {"0x10", "+3", ".5", "1.", "infinity", "1e999"}) {
+    SCOPED_TRACE(num);
+    EXPECT_THROW(decode_line(std::string("{\"a\":") + num + "}"), Error);
+  }
+  EXPECT_DOUBLE_EQ(wire_number(decode_line("{\"a\":-0.5e-3}"), "a"), -0.5e-3);
+}
+
+TEST(Wire, RejectsDuplicateKeysAndRawControlCharacters) {
+  EXPECT_THROW(decode_line("{\"a\":1,\"a\":2}"), Error);
+  EXPECT_THROW(decode_line("{\"a\":\"x\ty\"}"), Error);
+  EXPECT_EQ(wire_string(decode_line("{\"a\":\"x\\ty\"}"), "a"), "x\ty");
+}
+
+TEST(LineStream, WriteToVanishedPeerReturnsFalse) {
+  // A client that disconnects while the daemon still streams its job's
+  // events must cost that stream only, not raise SIGPIPE in the daemon.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  LineStream writer(fds[0]);
+  ::close(fds[1]);
+  EXPECT_FALSE(writer.writeLine("{\"event\":\"progress\"}"));
+}
+
+TEST(LineStream, OverCapLineEndsTheConnection) {
+  // A peer that keeps its socket open and never sends a newline must not
+  // hold readLine (and the daemon's memory) forever.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  LineStream reader(fds[0]);
+  std::promise<void> release;
+  std::thread writer([fd = fds[1], released = release.get_future()] {
+    const std::string junk(64 * 1024, 'x');
+    for (std::size_t sent = 0; sent <= kMaxLineBytes + junk.size();) {
+      const ssize_t n = ::send(fd, junk.data(), junk.size(), MSG_NOSIGNAL);
+      if (n <= 0) break;  // the reader shut its side down
+      sent += static_cast<std::size_t>(n);
+    }
+    released.wait();  // the connection stays open until the test ends
+    ::close(fd);
+  });
+  auto line = std::async(std::launch::async, [&] { return reader.readLine(); });
+  const bool ended =
+      line.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  EXPECT_TRUE(ended) << "readLine still buffering past " << kMaxLineBytes
+                     << " bytes";
+  release.set_value();
+  EXPECT_FALSE(line.get().has_value());
+  EXPECT_FALSE(reader.readLine().has_value());  // the read side stays shut
+  writer.join();
 }
 
 // ---- admission control -------------------------------------------------

@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <filesystem>
+#include <fstream>
 #include <numbers>
 #include <utility>
 #include <vector>
@@ -170,6 +171,28 @@ TEST(CheckpointControllerTest, SavesOnIntervalAndRotates) {
     EXPECT_FALSE(fs::exists(ctl.pathFor(20)));
     EXPECT_THROW(ctl.restoreLatest(resumed), Error);
   }
+}
+
+TEST(CheckpointControllerTest, ScanSkipsStepNumbersPastSixtyFourBits) {
+  const fs::path dir = fs::temp_directory_path() / "swlb_scan_long_step";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string prefix = (dir / "run").string();
+  Solver<D2Q9> solver(Grid(8, 8, 1), CollisionConfig{},
+                      Periodicity{true, true, true});
+  solver.finalizeMask();
+  solver.initUniform(1.0, {0.01, 0, 0});
+  io::CheckpointController ctl(prefix, {/*interval=*/5, /*keep=*/2});
+  for (int s = 0; s < 5; ++s) solver.step();
+  ASSERT_TRUE(ctl.maybeSave(solver));
+  const std::string stray = prefix + ".step99999999999999999999999.ckpt";
+  std::ofstream(stray) << "stray";
+
+  io::CheckpointController again(prefix, {5, 2}, /*discoverExisting=*/true);
+  ASSERT_EQ(again.retained().size(), 1u);
+  EXPECT_EQ(again.retained().front(), 5u);
+  EXPECT_TRUE(fs::exists(stray));  // skipped, not taken for a checkpoint
+  fs::remove_all(dir);
 }
 
 TEST(CheckpointControllerTest, RejectsDegeneratePolicies) {

@@ -3,8 +3,10 @@
 // the network cost model away from the crossover.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 
 #include "core/backend.hpp"
 #include "obs/context.hpp"
@@ -275,6 +277,82 @@ TEST(TuningCache, CorruptFileThrows) {
   }
   EXPECT_THROW(TuningCache::load(path), Error);
   fs::remove(path);
+}
+
+/// A cache file whose plan is `p` with `from` replaced by `to` in its
+/// text, loaded back.
+TuningCache loadEdited(const TuningKey& key, const TuningPlan& p,
+                       const std::string& from, const std::string& to) {
+  TuningCache cache;
+  cache.store(key, p);
+  std::string json = cache.toString();
+  const auto pos = json.find(from);
+  EXPECT_NE(pos, std::string::npos) << from;
+  if (pos != std::string::npos) json.replace(pos, from.size(), to);
+  const std::string path = tmpPath("swlb_tune_edited.json");
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << json;
+  }
+  struct Remove {
+    std::string path;
+    ~Remove() { fs::remove(path); }
+  } remove{path};
+  return TuningCache::load(path);
+}
+
+TEST(TuningCache, UnicodeEscapeReadsAsUtf8) {
+  const TuningInput in = cavityInput();
+  TuningPlan p = Tuner().plan(in);
+  p.precisionAdvice = "MARK";
+  const auto hit = loadEdited(in.key(), p, "\"MARK\"", "\"\\u4e2d\"")
+                       .lookup(in.key());
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->precisionAdvice, "\xe4\xb8\xad");  // U+4E2D in UTF-8
+}
+
+TEST(TuningCache, MalformedTextThrowsError) {
+  const TuningInput in = cavityInput();
+  TuningPlan p = Tuner().plan(in);
+  p.precisionAdvice = "MARK";
+  p.chunkX = 77;
+  // A bad \u escape, and a number token that only starts like one.
+  EXPECT_THROW(loadEdited(in.key(), p, "\"MARK\"", "\"\\uzzzz\""), Error);
+  EXPECT_THROW(loadEdited(in.key(), p, "\"chunk_x\": 77", "\"chunk_x\": 1-2+3"),
+               Error);
+  // Integer fields are range-checked before they are converted.
+  EXPECT_THROW(loadEdited(in.key(), p, "\"chunk_x\": 77", "\"chunk_x\": 1e300"),
+               Error);
+  EXPECT_THROW(loadEdited(in.key(), p, "\"chunk_x\": 77", "\"chunk_x\": -1"),
+               Error);
+}
+
+TEST(TuningCache, DeepNestingThrowsInsteadOfOverflowingTheStack) {
+  const std::string path = tmpPath("swlb_tune_deep.json");
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << "{\"schema\": \"swlb-tune-v1\", \"plans\": "
+        << std::string(2000000, '[');
+  }
+  EXPECT_THROW(TuningCache::load(path), Error);
+  fs::remove(path);
+}
+
+TEST(TuningCache, NonFiniteNumbersWriteNullAndReadBackAsNaN) {
+  const TuningInput in = cavityInput();
+  TuningPlan p = Tuner().plan(in);
+  p.advisedQuantError = std::numeric_limits<double>::infinity();
+  p.evidence["probe"] = std::numeric_limits<double>::quiet_NaN();
+  TuningCache cache;
+  cache.store(in.key(), p);
+  const std::string json = cache.toString();
+  EXPECT_NE(json.find("\"advised_quant_error\": null"), std::string::npos);
+  EXPECT_NE(json.find("\"probe\": null"), std::string::npos);
+  const auto hit = loadEdited(in.key(), p, "\"probe\"", "\"probe\"")
+                       .lookup(in.key());
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_TRUE(std::isnan(hit->advisedQuantError));
+  EXPECT_TRUE(std::isnan(hit->evidence.at("probe")));
 }
 
 TEST(TuningCache, CachedPlanSkipsTheSearch) {
