@@ -1,23 +1,24 @@
-// Auto-tuner validation bench (DESIGN.md §9): does the plan the tuner
-// picks land at or below the worst untuned configuration?
+// Auto-tuner bench (DESIGN.md §9): the plan the tuner picks for a
+// 4-rank 64x64x32 cavity next to both untuned halo schedules.
 //
-// Three views:
-//   1. halo scheduling — both modes measured for real on the
+// Two views:
+//   1. backend trials — the measured MLUPS ladder of a second plan with
+//      backendTrialSteps > 0, straight from its evidence;
+//   2. halo scheduling — both modes measured for real on the
 //      threads-as-ranks runtime with synthetic network latency (the same
 //      setup as bench_halo_overlap); the tuned row reuses the measurement
-//      of whichever mode the plan selected, so "tuned <= worst untuned"
-//      is checked against numbers from one table, not separate runs;
-//   2. CPE chunk_x — the tuner's deterministic emulator ladder, straight
-//      from the plan's evidence;
-//   3. ring threshold — the model crossover per rank count, next to the
-//      NetworkModel seconds on both sides of it.
+//      of whichever mode the plan selected, so it is compared with
+//      numbers from one table, not separate runs.  `tuned_over_best` is
+//      the tuned step over the faster untuned one: 1 when the modeled
+//      pick was also the faster schedule on this host.  The exit check
+//      (tuned <= worst untuned) holds by construction; it guards the
+//      table, not the model.
 #include <algorithm>
 #include <cstring>
 #include <iostream>
 
 #include "obs/bench_report.hpp"
 #include "obs/metrics.hpp"
-#include "perf/network.hpp"
 #include "perf/report.hpp"
 #include "runtime/distributed_solver.hpp"
 #include "tune/tuner.hpp"
@@ -117,6 +118,7 @@ int main(int argc, char** argv) {
   const double tunedS =
       plan.haloMode == HaloMode::Overlap ? ovlS : seqS;
   const double worstS = std::max(seqS, ovlS);
+  const double tunedOverBest = tunedS / std::min(seqS, ovlS);
 
   perf::printHeading("Halo scheduling, measured (4 ranks, 64x64x32, " +
                      perf::Table::num(kLatency * 1e6, 0) + " us latency)");
@@ -126,46 +128,8 @@ int main(int argc, char** argv) {
   t.addRow({"overlap", perf::Table::num(ovlS * 1e3, 3) + " ms",
             plan.haloMode == HaloMode::Overlap ? "<- tuned pick" : ""});
   t.addRow({"tuned plan", perf::Table::num(tunedS * 1e3, 3) + " ms",
-            tunedS <= worstS ? "<= worst untuned (ok)" : "REGRESSION"});
+            "tuned_over_best = " + perf::Table::num(tunedOverBest, 3)});
   t.print();
-
-  // ---- chunk_x: the tuner's own deterministic emulator ladder ----------
-  perf::printHeading("CPE chunk_x ladder (deterministic emulator trials)");
-  perf::Table ct({"chunk_x", "modeled DMA+fabric s", "note"});
-  double worstChunkS = 0, tunedChunkS = 0;
-  for (const auto& [key, sec] : plan.evidence) {
-    if (key.rfind("trial.chunk_x.", 0) != 0) continue;
-    const int c = std::stoi(key.substr(std::strlen("trial.chunk_x.")));
-    worstChunkS = std::max(worstChunkS, sec);
-    if (c == plan.chunkX) tunedChunkS = sec;
-    ct.addRow({perf::Table::num(c, 0), perf::Table::num(sec * 1e3, 3) + " ms",
-               c == plan.chunkX ? "<- tuned pick" : ""});
-  }
-  ct.print();
-
-  // ---- ring threshold vs the network model -----------------------------
-  perf::printHeading("Collective ring threshold (model crossover)");
-  const perf::NetworkModel net(tin.machine.net,
-                               tin.machine.coreGroupsPerProcessor);
-  using CA = perf::NetworkModel::CollAlgo;
-  perf::Table rt({"ranks", "crossover bytes", "tree s @ 8 B", "ring s @ 8 B",
-                  "tree s @ 16 MiB", "ring s @ 16 MiB"});
-  for (int ranks : {4, 16, 64, 256}) {
-    const std::size_t cross =
-        tune::Tuner::ringCrossoverBytes(tin.machine, ranks);
-    rt.addRow({perf::Table::num(ranks, 0), perf::Table::num(double(cross), 0),
-               perf::Table::num(net.collectiveSeconds(CA::Tree, 8, ranks) * 1e6,
-                                2) + " us",
-               perf::Table::num(net.collectiveSeconds(CA::Ring, 8, ranks) * 1e6,
-                                2) + " us",
-               perf::Table::num(
-                   net.collectiveSeconds(CA::Tree, 16 << 20, ranks) * 1e3, 2) +
-                   " ms",
-               perf::Table::num(
-                   net.collectiveSeconds(CA::Ring, 16 << 20, ranks) * 1e3, 2) +
-                   " ms"});
-  }
-  rt.print();
 
   if (!jsonPath.empty()) {
     obs::BenchReport::Result& rs = report.add("halo_sequential");
@@ -179,12 +143,8 @@ int main(int argc, char** argv) {
     obs::BenchReport::Result& rt2 = report.add("tuned");
     rt2.set("step_s", tunedS);
     rt2.set("worst_untuned_step_s", worstS);
-    rt2.set("chunk_x", plan.chunkX);
-    rt2.set("ring_threshold_bytes",
-            static_cast<double>(plan.ringThresholdBytes));
+    rt2.set("tuned_over_best", tunedOverBest);
     rt2.set("halo_overlap", plan.haloMode == HaloMode::Overlap ? 1 : 0);
-    rt2.set("chunk_trial_s", tunedChunkS);
-    rt2.set("worst_chunk_trial_s", worstChunkS);
     rt2.setText("key", tin.key().toString());
     rt2.setText("halo_mode", tune::halo_mode_name(plan.haloMode));
     rt2.setText("source", plan.source);
@@ -200,8 +160,7 @@ int main(int argc, char** argv) {
     std::cout << "wrote " << jsonPath << "\n";
   }
 
-  const bool ok = tunedS <= worstS && (worstChunkS == 0 ||
-                                       tunedChunkS <= worstChunkS);
+  const bool ok = tunedS <= worstS;
   std::cout << (ok ? "tuned plan is <= the worst untuned configuration\n"
                    : "TUNING REGRESSION: tuned plan slower than worst "
                      "untuned configuration\n");

@@ -17,9 +17,10 @@
 // in this driver) under the resilient driver; --max-shrinks K additionally
 // arms elastic shrink-to-fit recovery (DESIGN.md §10), so up to K
 // permanently lost ranks degrade the run instead of killing it.  The halo
-// schedule is Overlap, or Sequential for a backend that cannot split its
-// sweep around the exchange (a whole-block or in-place backend: swcpe,
-// esoteric); the driver prints the one it chose.
+// schedule is Overlap (or the tuned plan's under --tune), and Sequential
+// for a backend that cannot split its sweep around the exchange (a
+// whole-block or in-place backend: swcpe, esoteric; runtime::
+// halo_mode_for); the driver prints the one it chose.
 //
 // --patches N gives every rank N blocks ("patch mode", DESIGN.md §13),
 // assigned by fluid-weighted bisection along the Morton curve;
@@ -32,11 +33,12 @@
 // chrome://tracing or https://ui.perfetto.dev (DESIGN.md §6).
 //
 // --tune runs the auto-tuner (DESIGN.md §9) for this case's problem shape
-// before the run and prints the resulting plan: halo scheduling, the
-// collective ring threshold, the CPE LDM chunk width, the storage
-// precision advisory and the backend pick.  With --tuning-cache the plan
-// is read from / written to the given swlb-tune-v1 JSON file, so a second
-// identical run reports a cache hit and skips the search.
+// before the run, prints the resulting plan — halo scheduling, the
+// backend pick and the storage precision advisory — and applies the
+// backend (unless --backend pins one) and, with --ranks, the halo
+// schedule.  With --tuning-cache the plan is read from / written to the
+// given swlb-tune-v2 JSON file, so a second identical run reports a
+// cache hit and skips the search.
 //
 // Example config:
 //   case = cylinder
@@ -84,6 +86,31 @@ struct Flags {
   long rebalanceEvery = 0;
 };
 
+/// --tune: the plan for `tin`, from the --tuning-cache file when it holds
+/// one and searched (and stored there) otherwise, printed with where it
+/// came from.  Unless --backend pinned one, the plan's backend pick goes
+/// into `backend`.
+tune::TuningPlan tunedPlan(const tune::TuningInput& tin, const Flags& fl,
+                           std::string& backend) {
+  tune::TuningCache cache;
+  if (!fl.tuneCache.empty()) cache = tune::TuningCache::load(fl.tuneCache);
+  const bool hadPlan = cache.lookup(tin.key()).has_value();
+  const tune::TuningPlan plan = tune::Tuner().planCached(cache, tin);
+  std::cout << "tuning [" << tin.key().toString() << "]: "
+            << tune::summary(plan)
+            << (hadPlan ? " (cache hit)" : " (searched)") << "\n"
+            << "tuning advice: " << plan.precisionAdvice << "\n";
+  if (!fl.tuneCache.empty()) {
+    cache.save(fl.tuneCache);
+    if (!hadPlan) std::cout << "tuning cache written: " << fl.tuneCache << "\n";
+  }
+  if (fl.backend.empty()) {
+    tune::apply(plan, backend);
+    std::cout << "tuning: backend -> " << backend << "\n";
+  }
+  return plan;
+}
+
 /// Distributed front end: the cavity case on N threads-as-ranks under the
 /// resilient driver, with --patches blocks per rank (fluid-weighted
 /// bisection along the Morton curve, measured rebalancing every
@@ -100,23 +127,16 @@ int runDistributedCavity(const app::Config& cfg, const Flags& fl) {
   const Real uLid = cfg.getReal("lid_velocity", 0.05);
   const CollisionConfig col = app::collision_from_config(cfg);
 
-  // Backend: the tuned pick unless --backend pins one explicitly.
+  // Backend and halo schedule: the tuned picks unless --backend pins the
+  // backend explicitly.
   std::string backend = fl.backend.empty() ? "fused" : fl.backend;
+  runtime::HaloMode mode = runtime::HaloMode::Overlap;
   if (fl.tune) {
     tune::TuningInput tin;
     tin.lattice = "D3Q19";
     tin.extent = n;
     tin.ranks = fl.ranks;
-    tune::TuningCache cache;
-    if (!fl.tuneCache.empty()) cache = tune::TuningCache::load(fl.tuneCache);
-    const tune::TuningPlan plan = tune::Tuner().planCached(cache, tin);
-    std::cout << "tuning [" << tin.key().toString() << "]: "
-              << tune::summary(plan) << "\n";
-    if (!fl.tuneCache.empty()) cache.save(fl.tuneCache);
-    if (fl.backend.empty()) {
-      tune::apply(plan, backend);
-      std::cout << "tuning: backend -> " << backend << "\n";
-    }
+    tune::apply(tunedPlan(tin, fl, backend), mode);
   }
   std::cout << "case 'cavity' on " << fl.ranks << " ranks, "
             << (fl.patches > 0
@@ -139,11 +159,7 @@ int runDistributedCavity(const app::Config& cfg, const Flags& fl) {
   // Overlap hides the exchange behind the inner sweep but needs a backend
   // that sweeps sub-ranges of a two-lattice block; DistributedSolver
   // rejects it for any other, so choose Sequential for those here.
-  const BackendInfo* info = find_backend_info(backend);
-  const runtime::HaloMode mode =
-      info && (!info->caps.subRange || info->caps.inPlaceStreaming)
-          ? runtime::HaloMode::Sequential
-          : runtime::HaloMode::Overlap;
+  mode = runtime::halo_mode_for(backend, mode);
   std::cout << "halo schedule: " << tune::halo_mode_name(mode) << "\n";
 
   // The patch grid stays automatic so the same factory rebuilds the case
@@ -305,40 +321,17 @@ int main(int argc, char** argv) {
               << sim.solver->grid().nx << "x" << sim.solver->grid().ny << "x"
               << sim.solver->grid().nz << " cells, " << steps << " steps\n";
 
+    // Backend: the tuned pick unless --backend pins one explicitly.
+    std::string backend = fl.backend.empty() ? "fused" : fl.backend;
     if (fl.tune) {
       tune::TuningInput tin;
       tin.lattice = "D3Q19";  // app cases run the D3Q19 host solver
       tin.extent = {sim.solver->grid().nx, sim.solver->grid().ny,
                     sim.solver->grid().nz};
-      tin.ranks = 1;
-      tune::TuningCache cache;
-      if (!fl.tuneCache.empty()) cache = tune::TuningCache::load(fl.tuneCache);
-      const bool hadPlan = cache.lookup(tin.key()).has_value();
-      const tune::TuningPlan plan = tune::Tuner().planCached(cache, tin);
-      std::cout << "tuning [" << tin.key().toString() << "]: "
-                << tune::summary(plan)
-                << (hadPlan ? " (cache hit)" : " (searched)") << "\n"
-                << "tuning advice: " << plan.precisionAdvice << "\n";
-      if (!fl.tuneCache.empty()) {
-        cache.save(fl.tuneCache);
-        if (!hadPlan) std::cout << "tuning cache written: " << fl.tuneCache << "\n";
-      }
-      // Apply the plan's backend pick (no-op for the default "fused";
-      // cached plans produced with backend trials can switch it) unless
-      // --backend pinned one explicitly.
-      if (fl.backend.empty()) {
-        std::string backend = "fused";
-        tune::apply(plan, backend);
-        if (backend != "fused") {
-          sim.solver->setBackend(backend);
-          std::cout << "tuning: backend -> " << backend << "\n";
-        }
-      }
+      tunedPlan(tin, fl, backend);
     }
-    if (!fl.backend.empty()) {
-      sim.solver->setBackend(fl.backend);
-      std::cout << "backend: " << fl.backend << "\n";
-    }
+    if (backend != sim.solver->backendName()) sim.solver->setBackend(backend);
+    if (!fl.backend.empty()) std::cout << "backend: " << fl.backend << "\n";
 
     const long ckptEvery = cfg.getInt("checkpoint_interval", 0);
     std::unique_ptr<io::CheckpointController> ckpt;

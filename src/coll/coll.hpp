@@ -48,9 +48,7 @@ enum class Algo {
 };
 
 /// Per-communicator collective configuration.  The defaults are correct
-/// for any rank count; the auto-tuner (src/tune/) writes the modeled
-/// ring/tree crossover into `ringThresholdBytes` via
-/// `tune::apply(plan, cfg)` (DESIGN.md §9).
+/// for any rank count.
 struct CollConfig {
   /// Ring/tree switch point under Algo::Auto, in *payload bytes*
   /// (element count × element size, before any checksum framing).
@@ -59,9 +57,7 @@ struct CollConfig {
   /// same point, trading message count for pipelining); smaller payloads
   /// take the latency-bound Tree.  Valid range: >= 1; 0 would make every
   /// collective a ring.  Default 64 KiB — a generic latency-vs-bandwidth
-  /// break-even; `tune::Tuner::ringCrossoverBytes` replaces it with the
-  /// exact crossover of NetworkModel::collectiveSeconds for the machine
-  /// and rank count.  Never affects results, only message schedules.
+  /// break-even.  Never affects results, only message schedules.
   std::size_t ringThresholdBytes = 64 * 1024;
   Algo allreduce = Algo::Auto;
   Algo reduce = Algo::Auto;

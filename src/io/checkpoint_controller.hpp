@@ -13,9 +13,17 @@
 
 namespace swlb::io {
 
+/// Rotation policy of both controllers: this one and the distributed
+/// generations of runtime::DistributedCheckpointController.
 struct CheckpointPolicy {
   std::uint64_t interval = 1000;  ///< save every this many steps
-  int keep = 2;                   ///< retain the newest K checkpoints
+  int keep = 2;  ///< retain the newest K checkpoints (or generations)
+
+  /// Throws Error unless the policy can drive a controller.
+  void validate() const {
+    if (interval == 0) throw Error("CheckpointPolicy: interval must be > 0");
+    if (keep < 1) throw Error("CheckpointPolicy: keep must be >= 1");
+  }
 };
 
 /// Drives rotated checkpoints for a single-block solver.  Call
@@ -28,8 +36,7 @@ class CheckpointController {
   CheckpointController(std::string prefix, const CheckpointPolicy& policy,
                        bool discoverExisting = false)
       : prefix_(std::move(prefix)), policy_(policy) {
-    if (policy_.interval == 0) throw Error("CheckpointPolicy: interval must be > 0");
-    if (policy_.keep < 1) throw Error("CheckpointPolicy: keep must be >= 1");
+    policy_.validate();
     if (discoverExisting) scanExisting();
   }
 

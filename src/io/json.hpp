@@ -1,5 +1,5 @@
 // The one JSON codec of the program (DESIGN.md §6, §9, §12): the serve
-// wire protocol, the swlb-tune-v1 tuning cache, swlb-bench-v1 reports and
+// wire protocol, the swlb-tune-v2 tuning cache, swlb-bench-v1 reports and
 // Chrome traces all read through parse_json and write every string and
 // number through json_quote and json_number.
 //

@@ -54,7 +54,7 @@ class DistributedSolver {
     /// Overlap sweeps the inner box and the shell in separate calls, so
     /// construction rejects it when any block's backend is whole-block
     /// (!caps.subRange: swcpe) or in place (esoteric); run those under
-    /// Sequential.
+    /// Sequential.  halo_mode_for (runtime/halo.hpp) is that rule.
     HaloMode mode = HaloMode::Overlap;
     /// Patch grid; {0,0,0} selects Decomposition::choose of
     /// patchesPerRank * comm.size() patches.  Fewer patches than ranks
@@ -531,8 +531,7 @@ class DistributedSolver {
       // make_backend throws the registered-list error on an unknown name.
       const BackendCaps caps = make_backend<D, S>(name)->info().caps;
       (caps.inPlaceStreaming ? inPlace : twoLattice) = name;
-      if (cfg_.mode == HaloMode::Overlap &&
-          (!caps.subRange || caps.inPlaceStreaming))
+      if (halo_mode_for(name, cfg_.mode) != cfg_.mode)
         throw Error("DistributedSolver: backend '" + name +
                     "' cannot split its sweep around the exchange (" +
                     (caps.subRange ? "capability 'inPlaceStreaming' is on"

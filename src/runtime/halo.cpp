@@ -2,7 +2,16 @@
 
 #include <algorithm>
 
+#include "core/backend.hpp"
+
 namespace swlb::runtime {
+
+HaloMode halo_mode_for(const std::string& backend, HaloMode wanted) {
+  const BackendInfo* info = find_backend_info(backend);
+  return !info || (info->caps.subRange && !info->caps.inPlaceStreaming)
+             ? wanted
+             : HaloMode::Sequential;
+}
 
 namespace {
 /// Forward tag of a strip sent toward (dx, dy): 0..8.

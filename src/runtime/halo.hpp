@@ -18,6 +18,7 @@
 // elements are copied verbatim — no decode/encode error).
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "core/field.hpp"
@@ -42,6 +43,16 @@ namespace swlb::runtime {
 /// from the modeled halo-vs-compute ratio (DESIGN.md §9); override it via
 /// `DistributedSolver::Config::mode`.
 enum class HaloMode { Sequential, Overlap };
+
+/// The halo schedule blocks of `backend` run when `wanted` is asked for.
+/// Overlap sweeps the inner box and the boundary shell in separate calls,
+/// so it needs a backend that sweeps sub-ranges (caps.subRange) of a
+/// two-lattice block (no caps.inPlaceStreaming); any other backend
+/// (swcpe, esoteric) runs Sequential.  DistributedSolver's constructor
+/// rejects any other mode; swlb_run and the tuner pick through this.  An
+/// unknown name keeps `wanted` (the constructor rejects the name itself,
+/// listing the registered backends).
+HaloMode halo_mode_for(const std::string& backend, HaloMode wanted);
 
 class HaloPlan {
  public:

@@ -43,14 +43,10 @@
 #include <vector>
 
 #include "coll/coll.hpp"
+#include "io/checkpoint_controller.hpp"
 #include "runtime/parallel_io.hpp"
 
 namespace swlb::runtime {
-
-struct DistributedCheckpointPolicy {
-  std::uint64_t interval = 50;  ///< save every this many steps
-  int keep = 2;                 ///< retain the newest K generations
-};
 
 /// Failure-handling knobs of the resilient driver (DESIGN.md §10).
 struct FaultConfig {
@@ -92,12 +88,9 @@ template <class D, class S = Real>
 class DistributedCheckpointController {
  public:
   DistributedCheckpointController(Comm& comm, std::string prefix,
-                                  const DistributedCheckpointPolicy& policy)
+                                  const io::CheckpointPolicy& policy)
       : comm_(comm), prefix_(std::move(prefix)), policy_(policy) {
-    if (policy_.interval == 0)
-      throw Error("DistributedCheckpointPolicy: interval must be > 0");
-    if (policy_.keep < 1)
-      throw Error("DistributedCheckpointPolicy: keep must be >= 1");
+    policy_.validate();
     garbageCollect();
     comm_.barrier();
     generations_ = scanGenerations();
@@ -278,13 +271,14 @@ class DistributedCheckpointController {
 
   Comm& comm_;
   std::string prefix_;
-  DistributedCheckpointPolicy policy_;
+  io::CheckpointPolicy policy_;
   std::deque<std::uint64_t> generations_;
 };
 
 template <class D, class S = Real>
 struct ResilientRunnerConfig {
-  DistributedCheckpointPolicy checkpoint;
+  /// Generations every 50 steps, the newest 2 kept.
+  io::CheckpointPolicy checkpoint{.interval = 50};
   /// Timeouts, retries and the shrink budget (DESIGN.md §10).
   FaultConfig fault;
   /// Check NaN and global mass conservation every this many steps

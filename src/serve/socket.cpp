@@ -4,10 +4,11 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <cstring>
+#include <list>
 #include <thread>
-#include <vector>
 
 #include "core/common.hpp"
 #include "serve/server.hpp"
@@ -124,11 +125,13 @@ std::optional<int> UnixListener::accept() {
 }
 
 void UnixListener::close() {
-  if (fd_ >= 0) {
+  // The server's shutdown hook and the destructor may both get here, on
+  // different threads: exactly one of them takes the fd.
+  const int fd = fd_.exchange(-1);
+  if (fd >= 0) {
     // shutdown() wakes a blocked accept() portably on Linux.
-    ::shutdown(fd_, SHUT_RDWR);
-    ::close(fd_);
-    fd_ = -1;
+    ::shutdown(fd, SHUT_RDWR);
+    ::close(fd);
   }
 }
 
@@ -151,9 +154,25 @@ void serve_unix(Server& server, const std::string& path) {
   UnixListener listener(path);
   server.addShutdownHook([&listener] { listener.close(); });
 
-  std::vector<std::thread> conns;
+  // One thread per connection, flagged done as it ends; the accept loop
+  // joins the finished ones before it starts the next, so only live
+  // connections hold a thread (and its stack).
+  struct Conn {
+    std::atomic<bool> done{false};
+    std::thread thread;
+  };
+  std::list<Conn> conns;  // stable nodes: each thread flags its own
   while (const auto fd = listener.accept()) {
-    conns.emplace_back([&server, cfd = *fd] {
+    for (auto it = conns.begin(); it != conns.end();) {
+      if (!it->done) {
+        ++it;
+        continue;
+      }
+      it->thread.join();
+      it = conns.erase(it);
+    }
+    Conn& conn = conns.emplace_back();
+    conn.thread = std::thread([&server, &done = conn.done, cfd = *fd] {
       auto stream = std::make_shared<LineStream>(cfd);
       Session& session = server.openSession();
       // Writer: session events -> socket.  Ends when the session closes
@@ -170,9 +189,10 @@ void serve_unix(Server& server, const std::string& path) {
       }
       session.close();
       writer.join();
+      done = true;
     });
   }
-  for (auto& t : conns) t.join();
+  for (auto& c : conns) c.thread.join();
 }
 
 }  // namespace swlb::serve

@@ -7,6 +7,7 @@
 // tests and bench drive Sessions directly and skip the socket.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <optional>
 #include <string>
@@ -69,7 +70,7 @@ class UnixListener {
 
  private:
   std::string path_;
-  int fd_;
+  std::atomic<int> fd_;  ///< -1 once closed; close() may race accept()
 };
 
 /// Connect to a serve daemon's socket; throws Error on failure.  The
@@ -78,9 +79,10 @@ int connect_unix(const std::string& path);
 
 /// Run the accept loop for `server` on a socket at `path`: each
 /// connection gets a Session, a reader pumping request lines in and a
-/// writer pumping event lines out.  Blocks until the server shuts down
-/// (a shutdown hook closes the listener), then joins all connection
-/// threads.
+/// writer pumping event lines out.  A finished connection's thread is
+/// joined when the next connection is accepted.  Blocks until the server
+/// shuts down (a shutdown hook closes the listener), then joins the
+/// remaining connection threads.
 void serve_unix(Server& server, const std::string& path);
 
 }  // namespace swlb::serve

@@ -1,6 +1,5 @@
 #include "tune/cache.hpp"
 
-#include <cmath>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -42,24 +41,6 @@ double numberField(const JsonValue& obj, const char* name) {
   return asNumber(field(obj, name), std::string("field \"") + name + "\"");
 }
 
-/// An integer field in [0, max], range-checked before it is converted.
-double countField(const JsonValue& obj, const char* name, double max) {
-  const double v = numberField(obj, name);
-  if (!(v >= 0 && v <= max) || v != std::floor(v))
-    throw Error(std::string("tuning cache: field \"") + name +
-                "\" is not an integer in [0, " + io::json_number(max) + "]");
-  return v;
-}
-
-/// Backend spelling a cached plan may carry, mapped to the registered
-/// backend that now runs the same code: "simd" was folded into "fused",
-/// whose bulk runs vectorize themselves, and "threads" ran "fused" on a
-/// thread team, which every sub-range backend now gets at the solver's
-/// host-thread count.
-std::string currentBackendName(const std::string& name) {
-  return name == "simd" || name == "threads" ? "fused" : name;
-}
-
 TuningPlan planFromJson(const JsonValue& obj) {
   TuningPlan p;
   const std::string mode = stringField(obj, "halo_mode");
@@ -70,22 +51,7 @@ TuningPlan planFromJson(const JsonValue& obj) {
   } else {
     throw Error("tuning cache: unknown halo_mode \"" + mode + "\"");
   }
-  p.ringThresholdBytes = static_cast<std::size_t>(
-      countField(obj, "ring_threshold_bytes", 9007199254740992.0));  // 2^53
-  p.chunkX = static_cast<int>(
-      countField(obj, "chunk_x", std::numeric_limits<int>::max()));
-  // Tolerant read: "backend" is the current spelling; plans written when
-  // the knob was called the kernel variant carry "kernel_variant" with
-  // the same value set; older plans have neither and mean "fused".
-  // Either key may name a backend that has since been folded into
-  // another (currentBackendName).  The "patch_backends" and
-  // "patches_per_rank" keys of older plans are ignored.
-  for (const char* name : {"backend", "kernel_variant"}) {
-    if (obj.find(name)) {
-      p.backend = currentBackendName(stringField(obj, name));
-      break;
-    }
-  }
+  p.backend = stringField(obj, "backend");
   p.precision = stringField(obj, "precision");
   p.precisionAdvice = stringField(obj, "precision_advice");
   p.advisedQuantError = numberField(obj, "advised_quant_error");
@@ -117,15 +83,12 @@ std::string TuningKey::toString() const {
 std::string to_json(const TuningPlan& plan) {
   // Keys in lexicographic order, matching the map-backed sections, so the
   // whole document is byte-stable for identical contents.
-  // "kernel_variant" repeats the backend value: binaries from before the
-  // backend layer tolerant-read that key, so a new cache file still
-  // applies there (and new readers prefer "backend").
   using io::json_number;
   using io::json_quote;
   std::ostringstream os;
   os << "{\"advised_quant_error\": " << json_number(plan.advisedQuantError)
      << ", \"backend\": " << json_quote(plan.backend)
-     << ", \"chunk_x\": " << plan.chunkX << ", \"evidence\": {";
+     << ", \"evidence\": {";
   bool first = true;
   for (const auto& [k, v] : plan.evidence) {
     if (!first) os << ", ";
@@ -133,10 +96,8 @@ std::string to_json(const TuningPlan& plan) {
     os << json_quote(k) << ": " << json_number(v);
   }
   os << "}, \"halo_mode\": \"" << halo_mode_name(plan.haloMode)
-     << "\", \"kernel_variant\": " << json_quote(plan.backend)
-     << ", \"precision\": " << json_quote(plan.precision)
+     << "\", \"precision\": " << json_quote(plan.precision)
      << ", \"precision_advice\": " << json_quote(plan.precisionAdvice)
-     << ", \"ring_threshold_bytes\": " << plan.ringThresholdBytes
      << ", \"source\": " << json_quote(plan.source) << "}";
   return os.str();
 }

@@ -1,26 +1,27 @@
 // JSON tuning cache (DESIGN.md §9): plans keyed by TuningKey so repeat
 // runs of the same (lattice, extent, ranks, precision) skip the search.
 //
-// File format ("swlb-tune-v1"):
+// File format ("swlb-tune-v2"):
 //
 //   {
-//     "schema": "swlb-tune-v1",
+//     "schema": "swlb-tune-v2",
 //     "plans": [
 //       { "key": "D3Q19:64x64x64:r4:f64",
-//         "plan": { "halo_mode": "overlap", "ring_threshold_bytes": 123,
-//                   "chunk_x": 32, "precision": "f64",
-//                   "precision_advice": "...", "advised_quant_error": 5.9e-8,
-//                   "source": "model", "evidence": { "<name>": <num>, ... } } }
+//         "plan": { "advised_quant_error": 5.9e-8, "backend": "fused",
+//                   "evidence": { "<name>": <num>, ... },
+//                   "halo_mode": "overlap", "precision": "f64",
+//                   "precision_advice": "...", "source": "model" } }
 //     ]
 //   }
 //
 // Invalidation is structural: a missing file or a file with a different
-// schema tag loads as an *empty* cache (the stale format is discarded and
-// re-tuned, never half-parsed), and a lookup whose key differs in any
-// field misses.  Files are read by the shared strict parser and written
-// through the shared escaper and number formatter (io/json.hpp), so
-// writes are byte-deterministic for identical contents and a non-finite
-// double round-trips as `null` -> NaN.
+// schema tag (v1 files among them) loads as an *empty* cache (the stale
+// format is discarded and re-tuned, never half-parsed), and a lookup
+// whose key differs in any field misses.  Files are read by the shared
+// strict parser and written through the shared escaper and number
+// formatter (io/json.hpp), so writes are byte-deterministic for
+// identical contents and a non-finite double round-trips as `null` ->
+// NaN.
 #pragma once
 
 #include <map>
@@ -31,7 +32,7 @@
 
 namespace swlb::tune {
 
-inline constexpr const char* kTuneSchema = "swlb-tune-v1";
+inline constexpr const char* kTuneSchema = "swlb-tune-v2";
 
 class TuningCache {
  public:

@@ -1,12 +1,12 @@
 // Tuning plans and their cache key (DESIGN.md §9).
 //
-// A TuningPlan is the auto-tuner's output: one value per performance knob
-// the runtime exposes (halo scheduling, collective ring threshold, CPE
-// LDM chunk width) plus an *advisory* storage-precision report — the
-// tuner never switches precision behind the user's back, because storage
-// precision changes the results (DESIGN.md §8).  Every number that went
-// into the decision is kept in `evidence`, so a plan is auditable after
-// the fact and diffable across machines.
+// A TuningPlan is the auto-tuner's output: the two knobs a run applies —
+// the halo schedule and the stream/collide backend — plus an *advisory*
+// storage-precision report; the tuner never switches precision behind
+// the user's back, because storage precision changes the results
+// (DESIGN.md §8).  Every number that went into the decision is kept in
+// `evidence`, so a plan is auditable after the fact and diffable across
+// machines.
 //
 // Plans are keyed by (lattice, global extent, ranks, storage precision):
 // the four inputs that change the communication/computation balance the
@@ -15,7 +15,6 @@
 // — the property test_tune pins down.
 #pragma once
 
-#include <cstdint>
 #include <map>
 #include <string>
 
@@ -39,25 +38,15 @@ struct TuningKey {
   friend bool operator==(const TuningKey&, const TuningKey&) = default;
 };
 
-/// One resolved configuration: what each subsystem should run with.
+/// One resolved configuration: what a run should apply.
 struct TuningPlan {
-  /// Halo scheduling for DistributedSolver::Config::mode.
+  /// Halo scheduling for DistributedSolver::Config::mode.  Always one the
+  /// plan's backend can run (runtime::halo_mode_for).
   runtime::HaloMode haloMode = runtime::HaloMode::Overlap;
-  /// Size threshold (bytes) for coll::CollConfig::ringThresholdBytes:
-  /// payloads at or above it run the ring, smaller ones the tree.  Set to
-  /// the model crossover of NetworkModel::collectiveSeconds.
-  std::size_t ringThresholdBytes = 64 * 1024;
-  /// LDM x-chunk width for sw::SwKernelConfig::chunkX (cells; >= 1 and
-  /// <= sw::max_chunk_x for the target block).
-  int chunkX = 32;
   /// Stream/collide backend for Solver/DistributedSolver
   /// (registry name, core/backend.hpp: "fused" | "esoteric" | ...).
   /// "fused" unless wall-clock backend trials (TunerConfig::
-  /// backendTrialSteps > 0) found a faster one.  Serialized as "backend";
-  /// cache files from before the backend layer carry the same value
-  /// under "kernel_variant" and parse into this field; the retired names
-  /// "simd" and "threads" read as "fused", which runs the same kernel at
-  /// the solver's host-thread count.
+  /// backendTrialSteps > 0) found a faster one.
   std::string backend = "fused";
   /// Storage precision the plan was tuned for (matches the key).
   std::string precision = "f64";
@@ -67,27 +56,18 @@ struct TuningPlan {
   /// Relative quantization bound of the *advised* storage type's stored
   /// deviation (StorageTraits<S>::kEpsilon; dimensionless).
   double advisedQuantError = 0;
-  /// "model" when the plan came from the deterministic model/emulator
-  /// search, "measured" when wall-clock trials overrode the halo pick.
+  /// "model" when the plan came from the deterministic model search,
+  /// "measured" when wall-clock backend trials ran.
   std::string source = "model";
-  /// Every number the search looked at, by name: modeled seconds per
-  /// candidate, trial measurements, cross-check ratios.
+  /// Every number the search looked at, by name: modeled seconds and
+  /// bytes, trial measurements.
   std::map<std::string, double> evidence;
 
   friend bool operator==(const TuningPlan&, const TuningPlan&) = default;
 };
 
-/// The ring-vs-tree choice a plan implies for a `payloadBytes` collective
-/// (mirrors Collectives::resolve under the plan's threshold).
-enum class CollChoice { Tree, Ring };
-inline CollChoice collectiveChoice(const TuningPlan& plan,
-                                   std::size_t payloadBytes) {
-  return payloadBytes >= plan.ringThresholdBytes ? CollChoice::Ring
-                                                 : CollChoice::Tree;
-}
-
 /// Byte-deterministic JSON of one plan / one key (object literals; see
-/// cache.cpp for the grammar the parser accepts).
+/// cache.hpp for the file format).
 std::string to_json(const TuningPlan& plan);
 std::string to_json(const TuningKey& key);
 

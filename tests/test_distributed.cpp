@@ -431,5 +431,30 @@ TEST(DistributedSolverApi, OverlapRejectsBackendsThatCannotSplitTheSweep) {
   }
 }
 
+TEST(DistributedSolverApi, HaloModeForPicksAScheduleEveryBackendRuns) {
+  // halo_mode_for is the rule the constructor enforces: its pick for an
+  // Overlap request builds on every registered backend, and the backends
+  // that cannot split the sweep (swcpe, esoteric) get Sequential.
+  for (const BackendInfo& info : backend_catalog()) {
+    SCOPED_TRACE(info.name);
+    const HaloMode mode = halo_mode_for(info.name, HaloMode::Overlap);
+    if (info.name == "swcpe" || info.name == "esoteric") {
+      EXPECT_EQ(mode, HaloMode::Sequential);
+    }
+    EXPECT_EQ(halo_mode_for(info.name, HaloMode::Sequential),
+              HaloMode::Sequential);
+    World world(2);
+    world.run([&](Comm& c) {
+      typename DistributedSolver<D2Q9>::Config cfg;
+      cfg.global = {8, 8, 1};
+      cfg.backend = info.name;
+      cfg.mode = mode;
+      cfg.periodic = {true, true, false};
+      EXPECT_NO_THROW(DistributedSolver<D2Q9>(c, cfg));
+    });
+  }
+  EXPECT_EQ(halo_mode_for("fused", HaloMode::Overlap), HaloMode::Overlap);
+}
+
 }  // namespace
 }  // namespace swlb::runtime

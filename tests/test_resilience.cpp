@@ -280,7 +280,7 @@ TEST(Resilience, RestoreSkipsIncompleteGeneration) {
   world.run([&](Comm& c) {
     DistributedSolver<D2Q9> solver(c, tgvConfig(n));
     initTgv(solver, n);
-    DistributedCheckpointPolicy policy;
+    io::CheckpointPolicy policy;
     policy.interval = 10;
     policy.keep = 3;
     DistributedCheckpointController<D2Q9> ckpt(c, prefix, policy);
@@ -312,7 +312,7 @@ TEST(Resilience, ControllerRotatesAndRediscoversGenerations) {
   world.run([&](Comm& c) {
     DistributedSolver<D2Q9> solver(c, tgvConfig(n));
     initTgv(solver, n);
-    DistributedCheckpointPolicy policy;
+    io::CheckpointPolicy policy;
     policy.interval = 5;
     policy.keep = 2;
     {
@@ -353,7 +353,7 @@ TEST(Resilience, ScansSkipStepNumbersPastSixtyFourBits) {
   world.run([&](Comm& c) {
     DistributedSolver<D2Q9> solver(c, tgvConfig(n));
     initTgv(solver, n);
-    DistributedCheckpointPolicy policy;
+    io::CheckpointPolicy policy;
     policy.interval = 5;
     policy.keep = 2;
     {
@@ -386,7 +386,7 @@ TEST(Resilience, RotationRemovesEveryBlockOfSeveralPerRank) {
   world.run([&](Comm& c) {
     DistributedSolver<D2Q9> solver(c, tgvConfig(n));
     initTgv(solver, n);
-    DistributedCheckpointPolicy policy;
+    io::CheckpointPolicy policy;
     policy.interval = 1;
     policy.keep = 1;
     DistributedCheckpointController<D2Q9> ckpt(c, prefix, policy);
@@ -483,7 +483,7 @@ TEST(Resilience, ScanGenerationsGarbageCollectsOrphans) {
   world.run([&](Comm& c) {
     DistributedSolver<D2Q9> solver(c, tgvConfig(n));
     initTgv(solver, n);
-    DistributedCheckpointPolicy policy;
+    io::CheckpointPolicy policy;
     policy.interval = 10;
     {
       DistributedCheckpointController<D2Q9> ckpt(c, prefix, policy);

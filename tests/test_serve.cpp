@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <future>
 #include <limits>
 #include <set>
@@ -216,6 +217,64 @@ TEST(LineStream, OverCapLineEndsTheConnection) {
   EXPECT_FALSE(line.get().has_value());
   EXPECT_FALSE(reader.readLine().has_value());  // the read side stays shut
   writer.join();
+}
+
+namespace {
+
+/// A number of /proc/self/status: "VmSize" (KiB), "Threads"; -1 when it
+/// cannot be read.
+long procStatus(const std::string& field) {
+  std::ifstream in("/proc/self/status");
+  for (std::string line; std::getline(in, line);)
+    if (line.rfind(field + ":", 0) == 0)
+      return std::stol(line.substr(field.size() + 1));
+  return -1;
+}
+
+}  // namespace
+
+TEST(ServeUnix, FinishedConnectionsReleaseTheirThreads) {
+  // A daemon with many short clients must hold threads (and their ~8 MiB
+  // stacks) only for live connections, not for every connection since
+  // start-up.
+  ScratchDir dir("swlb_serve_reap");
+  const std::string path = dir.path + "/daemon.sock";
+  ServerConfig cfg;
+  cfg.workers = 1;
+  cfg.checkpointDir = dir.path;
+  Server server(cfg);
+  std::thread daemon([&] { serve_unix(server, path); });
+  for (int i = 0; i < 500 && !std::filesystem::exists(path); ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  // One request per connection, each waited out: the client returns once
+  // the connection's threads have exited, so no two connections overlap.
+  const long idleThreads = procStatus("Threads");
+  WireMap req;
+  req["op"] = WireValue::ofString("stats");
+  auto oneRequest = [&] {
+    {
+      LineStream s(connect_unix(path));
+      ASSERT_TRUE(s.writeLine(encode_line(req)));
+      const auto reply = s.readLine();
+      ASSERT_TRUE(reply.has_value());
+      EXPECT_EQ(wire_string(decode_line(*reply), "event", ""), "stats");
+    }
+    for (int i = 0; i < 2000 && procStatus("Threads") > idleThreads; ++i)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  };
+  oneRequest();  // first-use allocations stay out of the measurement
+  const long before = procStatus("VmSize");
+  ASSERT_GT(before, 0);
+  constexpr int kConnections = 40;
+  for (int i = 0; i < kConnections; ++i) oneRequest();
+  const long grownKiB = procStatus("VmSize") - before;
+  server.shutdown();
+  daemon.join();
+  // Kept threads would add at least 8 MiB each; a daemon that joins a
+  // finished connection before it starts the next reuses that stack.
+  EXPECT_LT(grownKiB, kConnections * 8 * 1024 / 4)
+      << "VmSize grew " << grownKiB << " KiB over " << kConnections
+      << " one-request connections";
 }
 
 // ---- admission control -------------------------------------------------

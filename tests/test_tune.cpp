@@ -1,6 +1,5 @@
-// Auto-tuner (DESIGN.md §9): deterministic plan selection, cache
-// round-trip/invalidation, and agreement of the ring-vs-tree pick with
-// the network cost model away from the crossover.
+// Auto-tuner (DESIGN.md §9): deterministic plan selection, plan
+// consumption, and cache round-trip/invalidation.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,7 +10,6 @@
 #include "core/backend.hpp"
 #include "obs/context.hpp"
 #include "obs/metrics.hpp"
-#include "perf/network.hpp"
 #include "tune/tuner.hpp"
 
 namespace swlb::tune {
@@ -34,8 +32,8 @@ TuningInput cavityInput() {
 // ------------------------------------------------------------ planning
 
 TEST(Tuner, PlanIsByteDeterministic) {
-  // Same inputs -> byte-identical serialized plans (trialSteps == 0 keeps
-  // the search purely model/emulator-driven).
+  // Same inputs -> byte-identical serialized plans (backendTrialSteps == 0
+  // keeps the search purely model-driven).
   const TuningInput in = cavityInput();
   const TuningPlan a = Tuner().plan(in);
   const TuningPlan b = Tuner().plan(in);
@@ -47,19 +45,13 @@ TEST(Tuner, PlanIsByteDeterministic) {
 TEST(Tuner, PlanRespectsKnobRanges) {
   const TuningInput in = cavityInput();
   const TuningPlan p = Tuner().plan(in);
-  EXPECT_GE(p.chunkX, 1);
-  // chunk_x never exceeds the LDM cap recorded in the evidence.
-  const auto cap = p.evidence.find("chunk.cap");
-  ASSERT_NE(cap, p.evidence.end());
-  EXPECT_LE(p.chunkX, static_cast<int>(cap->second));
-  EXPECT_GE(p.ringThresholdBytes, std::size_t{1});
   EXPECT_EQ(p.precision, "f64");
   // Without backend trials the model has no evidence to deviate from the
   // production default.
   EXPECT_EQ(p.backend, "fused");
-  // The emulator ladder left its evidence behind (auditable plans).
+  // The model left its evidence behind (auditable plans).
   EXPECT_NE(p.evidence.count("model.halo.fraction"), 0u);
-  EXPECT_NE(p.evidence.count("model.coll.crossover_bytes"), 0u);
+  EXPECT_NE(p.evidence.count("model.bytes_per_lup"), 0u);
 }
 
 TEST(Tuner, SingleRankNeverOverlaps) {
@@ -90,12 +82,6 @@ TEST(Tuner, AppliesPlanToSubsystemConfigs) {
   runtime::HaloMode mode = runtime::HaloMode::Sequential;
   apply(p, mode);
   EXPECT_EQ(mode, p.haloMode);
-  coll::CollConfig ccfg;
-  apply(p, ccfg);
-  EXPECT_EQ(ccfg.ringThresholdBytes, p.ringThresholdBytes);
-  sw::SwKernelConfig scfg;
-  apply(p, scfg);
-  EXPECT_EQ(scfg.chunkX, p.chunkX);
 }
 
 TEST(Tuner, AppliesBackendToSolverKnobs) {
@@ -119,12 +105,16 @@ TEST(Tuner, AppliesBackendToSolverKnobs) {
 TEST(Tuner, BackendTrialsPickFromMeasuredLadder) {
   TunerConfig cfg;
   cfg.backendTrialSteps = 2;
-  cfg.trialCellsPerRank = 1 << 12;  // keep the proxy lattice tiny
-  TuningInput in = cavityInput();
-  in.ranks = 1;
+  const TuningInput in = cavityInput();
+  ASSERT_EQ(Tuner().plan(in).haloMode, runtime::HaloMode::Overlap);
   const TuningPlan p = Tuner(cfg).plan(in);
   EXPECT_EQ(p.source, "measured");
   EXPECT_NE(find_backend_info(p.backend), nullptr) << p.backend;
+  // The model's Overlap stands only when the pick can run it (fused); an
+  // in-place pick (esoteric) plans Sequential.
+  EXPECT_EQ(p.haloMode,
+            runtime::halo_mode_for(p.backend, runtime::HaloMode::Overlap))
+      << p.backend;
   // The trial ladder leaves auditable MLUPS evidence for every rung.
   EXPECT_NE(p.evidence.count("trial.backend.fused_mlups"), 0u);
   EXPECT_NE(p.evidence.count("trial.backend.esoteric_mlups"), 0u);
@@ -145,8 +135,10 @@ TEST(TuningCache, RoundTripsThroughDisk) {
   const auto hit = loaded.lookup(in.key());
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(*hit, p);  // every field, evidence map included
-  // Save -> load -> save is byte-stable.
+  // Save -> load -> save is byte-stable, under the v2 tag.
   EXPECT_EQ(loaded.toString(), cache.toString());
+  EXPECT_NE(cache.toString().find("\"schema\": \"swlb-tune-v2\""),
+            std::string::npos);
   fs::remove(path);
 }
 
@@ -164,76 +156,6 @@ TEST(TuningCache, BackendSurvivesRoundTrip) {
   EXPECT_EQ(hit->backend, "esoteric");
   EXPECT_EQ(*hit, p);
   fs::remove(path);
-}
-
-TEST(TuningCache, LegacyKernelVariantFieldReadsAsBackend) {
-  // A cache written by a pre-backend-layer binary names the knob
-  // "kernel_variant" and has no "backend" key; the tolerant reader maps
-  // it onto TuningPlan::backend.
-  const TuningInput in = cavityInput();
-  TuningPlan p = Tuner().plan(in);
-  p.backend = "swcpe";
-  TuningCache cache;
-  cache.store(in.key(), p);
-  std::string json = cache.toString();
-  const std::string be = "\"backend\": \"swcpe\", ";
-  auto pos = json.find(be);
-  ASSERT_NE(pos, std::string::npos);
-  json.erase(pos, be.size());
-
-  const std::string path = tmpPath("swlb_tune_legacy_kv.json");
-  {
-    std::ofstream out(path);
-    out << json;
-  }
-  const TuningCache loaded = TuningCache::load(path);
-  const auto hit = loaded.lookup(in.key());
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->backend, "swcpe");
-  EXPECT_EQ(*hit, p);
-  fs::remove(path);
-}
-
-TEST(TuningCache, RetiredSimdBackendReadsAsFused) {
-  // Two retired backends ran the fused kernel: "simd" (its bulk runs now
-  // vectorize inside fused) and "threads" (fused on a thread team, which
-  // every sub-range backend now gets at the solver's host-thread count).
-  // A cached plan naming either must still apply: it reads as "fused"
-  // under "backend" and under the legacy "kernel_variant" key, and the
-  // retired "patch_backends" and "patches_per_rank" keys are ignored.
-  const TuningInput in = cavityInput();
-  for (const std::string retired : {"simd", "threads"}) {
-    SCOPED_TRACE(retired);
-    TuningPlan p = Tuner().plan(in);
-    p.backend = retired;
-    TuningCache cache;
-    cache.store(in.key(), p);
-    const std::string json = cache.toString();
-    const std::string be = "\"backend\": \"" + retired + "\", ";
-    const auto pos = json.find(be);
-    ASSERT_NE(pos, std::string::npos);
-    std::string legacy = json;
-    // Leaves only "kernel_variant": <retired>, plus an old per-patch map
-    // and patch count.
-    legacy.replace(pos, be.size(),
-                   "\"patch_backends\": {\"2\": \"" + retired +
-                       "\"}, \"patches_per_rank\": 4, ");
-
-    for (const std::string& text : {json, legacy}) {
-      const std::string path = tmpPath("swlb_tune_retired_alias.json");
-      {
-        std::ofstream out(path);
-        out << text;
-      }
-      const auto hit = TuningCache::load(path).lookup(in.key());
-      fs::remove(path);
-      ASSERT_TRUE(hit.has_value());
-      EXPECT_EQ(hit->backend, "fused");
-      std::string name = "swcpe";
-      swlb::tune::apply(*hit, name);
-      EXPECT_EQ(name, "fused");
-    }
-  }
 }
 
 TEST(TuningCache, MissesOnAnyKeyMismatch) {
@@ -258,12 +180,24 @@ TEST(TuningCache, MissesOnAnyKeyMismatch) {
 
 TEST(TuningCache, StaleSchemaLoadsEmpty) {
   const std::string path = tmpPath("swlb_tune_stale.json");
-  {
-    std::ofstream out(path);
-    out << "{\"schema\": \"swlb-tune-v0\", \"plans\": []}\n";
+  // Unknown schema is staleness, not corruption: discard and re-tune.  A
+  // v1 file (with its chunk_x, ring_threshold_bytes and kernel_variant
+  // fields) is stale too.
+  for (const std::string text :
+       {"{\"schema\": \"swlb-tune-v0\", \"plans\": []}\n",
+        "{\n  \"schema\": \"swlb-tune-v1\",\n  \"plans\": [\n    {\"key\": "
+        "\"D3Q19:64x64x32:r4:f64\",\n     \"plan\": {\"advised_quant_error\": "
+        "5.9604644775390625e-08, \"backend\": \"fused\", \"chunk_x\": 32, "
+        "\"evidence\": {\"chunk.cap\": 32}, \"halo_mode\": \"overlap\", "
+        "\"kernel_variant\": \"fused\", \"precision\": \"f64\", "
+        "\"precision_advice\": \"\", \"ring_threshold_bytes\": 12026, "
+        "\"source\": \"model\"}}\n  ]\n}\n"}) {
+    {
+      std::ofstream out(path);
+      out << text;
+    }
+    EXPECT_TRUE(TuningCache::load(path).empty()) << text;
   }
-  // Unknown schema is staleness, not corruption: discard and re-tune.
-  EXPECT_TRUE(TuningCache::load(path).empty());
   fs::remove(path);
   // A missing file is also just an empty cache.
   EXPECT_TRUE(TuningCache::load(tmpPath("swlb_tune_missing.json")).empty());
@@ -273,7 +207,7 @@ TEST(TuningCache, CorruptFileThrows) {
   const std::string path = tmpPath("swlb_tune_corrupt.json");
   {
     std::ofstream out(path);
-    out << "{\"schema\": \"swlb-tune-v1\", \"plans\": [{\"key\": ";
+    out << "{\"schema\": \"swlb-tune-v2\", \"plans\": [{\"key\": ";
   }
   EXPECT_THROW(TuningCache::load(path), Error);
   fs::remove(path);
@@ -315,15 +249,11 @@ TEST(TuningCache, MalformedTextThrowsError) {
   const TuningInput in = cavityInput();
   TuningPlan p = Tuner().plan(in);
   p.precisionAdvice = "MARK";
-  p.chunkX = 77;
+  p.advisedQuantError = 77;
   // A bad \u escape, and a number token that only starts like one.
   EXPECT_THROW(loadEdited(in.key(), p, "\"MARK\"", "\"\\uzzzz\""), Error);
-  EXPECT_THROW(loadEdited(in.key(), p, "\"chunk_x\": 77", "\"chunk_x\": 1-2+3"),
-               Error);
-  // Integer fields are range-checked before they are converted.
-  EXPECT_THROW(loadEdited(in.key(), p, "\"chunk_x\": 77", "\"chunk_x\": 1e300"),
-               Error);
-  EXPECT_THROW(loadEdited(in.key(), p, "\"chunk_x\": 77", "\"chunk_x\": -1"),
+  EXPECT_THROW(loadEdited(in.key(), p, "\"advised_quant_error\": 77",
+                          "\"advised_quant_error\": 1-2+3"),
                Error);
 }
 
@@ -331,7 +261,7 @@ TEST(TuningCache, DeepNestingThrowsInsteadOfOverflowingTheStack) {
   const std::string path = tmpPath("swlb_tune_deep.json");
   {
     std::ofstream out(path, std::ios::binary);
-    out << "{\"schema\": \"swlb-tune-v1\", \"plans\": "
+    out << "{\"schema\": \"swlb-tune-v2\", \"plans\": "
         << std::string(2000000, '[');
   }
   EXPECT_THROW(TuningCache::load(path), Error);
@@ -368,53 +298,6 @@ TEST(TuningCache, CachedPlanSkipsTheSearch) {
   EXPECT_EQ(reg.counterValue("tune.cache.hit"), 1u);
   // Only the miss ran the search.
   EXPECT_EQ(reg.counterValue("tune.plans"), 1u);
-}
-
-// ----------------------------------------------- ring-vs-tree crossover
-
-TEST(Tuner, RingTreePickAgreesWithNetworkModelAwayFromCrossover) {
-  const sw::MachineSpec machine = sw::MachineSpec::sw26010();
-  const perf::NetworkModel net(machine.net, machine.coreGroupsPerProcessor);
-  using CA = perf::NetworkModel::CollAlgo;
-  for (int ranks : {4, 16, 64, 256}) {
-    TuningInput in = cavityInput();
-    in.ranks = ranks;
-    const TuningPlan p = Tuner().plan(in);
-    const std::size_t cross = Tuner::ringCrossoverBytes(machine, ranks);
-    EXPECT_EQ(p.ringThresholdBytes, cross) << "ranks=" << ranks;
-    // Well below the crossover the model must prefer the tree, well above
-    // it the ring — and the plan's choice must match on both sides.
-    const std::size_t below = cross / 8, above = cross * 8;
-    if (below >= 8) {
-      EXPECT_LT(net.collectiveSeconds(CA::Tree, below, ranks),
-                net.collectiveSeconds(CA::Ring, below, ranks))
-          << "ranks=" << ranks;
-      EXPECT_EQ(collectiveChoice(p, below), CollChoice::Tree)
-          << "ranks=" << ranks;
-    }
-    EXPECT_GT(net.collectiveSeconds(CA::Tree, above, ranks),
-              net.collectiveSeconds(CA::Ring, above, ranks))
-        << "ranks=" << ranks;
-    EXPECT_EQ(collectiveChoice(p, above), CollChoice::Ring)
-        << "ranks=" << ranks;
-  }
-}
-
-TEST(Tuner, CrossoverIsExactByte) {
-  // Bisection pins the first byte count where the ring is at least as
-  // fast as the tree: one byte below it the tree still wins.
-  const sw::MachineSpec machine = sw::MachineSpec::sw26010();
-  const perf::NetworkModel net(machine.net, machine.coreGroupsPerProcessor);
-  using CA = perf::NetworkModel::CollAlgo;
-  for (int ranks : {16, 64}) {
-    const std::size_t cross = Tuner::ringCrossoverBytes(machine, ranks);
-    ASSERT_GT(cross, std::size_t{1});
-    ASSERT_LT(cross, std::size_t{1} << 30);
-    EXPECT_LE(net.collectiveSeconds(CA::Ring, cross, ranks),
-              net.collectiveSeconds(CA::Tree, cross, ranks));
-    EXPECT_LT(net.collectiveSeconds(CA::Tree, cross - 1, ranks),
-              net.collectiveSeconds(CA::Ring, cross - 1, ranks));
-  }
 }
 
 }  // namespace
